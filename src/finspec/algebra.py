@@ -66,15 +66,19 @@ class FiniteCommutativeAlgebra:
     def unit(self) -> "AlgebraElement":
         return self.element(np.ones(self.k))
 
-    def basis_element(self, i: int) -> "AlgebraElement":
+    def _indicator(self, i: int) -> np.ndarray:
+        """The function equal to 1 on character i and 0 elsewhere."""
+        if not 0 <= i < self.k:
+            raise AlgebraMismatch(f"character index {i} outside 0..{self.k - 1}")
         e = np.zeros(self.k)
         e[i] = 1.0
-        return self.element(e)
+        return e
+
+    def basis_element(self, i: int) -> "AlgebraElement":
+        return self.element(self._indicator(i))
 
     def pure_state(self, i: int) -> "State":
-        w = np.zeros(self.k)
-        w[i] = 1.0
-        return State(self, w)
+        return State(self, self._indicator(i))
 
     def projection_residuals(self, tol: float = 1e-9):
         """Residuals of the projection-family axioms, as (name, value) pairs."""

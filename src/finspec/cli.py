@@ -16,7 +16,7 @@ import sys
 
 from . import category, geometry, metric, triple as triple_mod
 from .algebra import state_from_json
-from .errors import ToolkitError
+from .errors import AlgebraMismatch, ToolkitError
 
 
 def _load_json(path: str):
@@ -78,8 +78,13 @@ def cmd_distance(args) -> int:
     t = _load_triple(args.triple)
     if args.states is not None:
         i, j = args.states
-        w1 = t.algebra.pure_state(i - 1)
-        w2 = t.algebra.pure_state(j - 1)
+        try:
+            w1 = t.algebra.pure_state(i - 1)
+            w2 = t.algebra.pure_state(j - 1)
+        except AlgebraMismatch as exc:
+            raise _UsageFailure(
+                f"--states {i} {j}: characters are numbered 1..{t.algebra.k}"
+            ) from exc
         d = metric.connes_distance(t, w1, w2, seed=args.seed)
         payload = {"pass": True, "distance": d.to_json()}
         if args.complex_search and t.algebra.k <= 4:

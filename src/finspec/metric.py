@@ -19,14 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize
-from scipy.special import logsumexp
 
 from .algebra import AlgebraElement, State, same_algebra
 from .errors import AlgebraMismatch, TooManyCharacters
-from .numerics import operator_norm
-from .triple import SpectralTriple, coupling_components
+from .triple import SpectralTriple
 
-DISTANCE_TOL = 1e-6
 INFINITE_THRESHOLD = 1e-10
 
 
@@ -67,25 +64,24 @@ class DistanceMatrix:
 
 
 def _commutator_generators(t: SpectralTriple) -> np.ndarray:
-    d = np.asarray(t.dirac)
-    return np.stack([d @ p - p @ d for p in t.algebra.projections])
+    """The tensor K with K[i] = [D, P_i], shape (k, n, n); built once per
+    triple and shared read-only."""
+    return t.commutators
 
 
 def _component_masks(t: SpectralTriple):
-    comps = coupling_components(t)
-    masks = np.zeros((len(comps), t.algebra.k))
-    for row, comp in enumerate(comps):
+    masks = np.zeros((len(t.components), t.algebra.k))
+    for row, comp in enumerate(t.components):
         masks[row, comp] = 1.0
     return masks
 
 
 def detect_infinite(t: SpectralTriple, i: int, j: int) -> bool:
     """True iff characters i and j lie in different coupling components."""
-    comps = coupling_components(t)
-    for comp in comps:
-        if i in comp:
-            return j not in comp
-    raise AlgebraMismatch("character index out of range")
+    k = t.algebra.k
+    if not (0 <= i < k and 0 <= j < k):
+        raise AlgebraMismatch(f"character indices ({i}, {j}) outside 0..{k - 1}")
+    return not any(i in comp and j in comp for comp in t.components)
 
 
 def _check_states(t: SpectralTriple, *states: State):
@@ -95,34 +91,40 @@ def _check_states(t: SpectralTriple, *states: State):
 
 
 def _embedded(k_mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.tensordot(x, k_mats, axes=1)
+    """M(x) = sum_i x_i K_i."""
+    return (x @ k_mats.reshape(len(x), -1)).reshape(k_mats.shape[1:])
+
+
+def _singular_pair_grad(k_mats: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Re(u* K_i v) for every i: the gradient of Re(u* M(x) v) in x."""
+    return np.real((k_mats @ v) @ np.conj(u))
 
 
 def _spectral_value_subgrad(k_mats: np.ndarray, x: np.ndarray):
-    m = _embedded(k_mats, x)
-    u, s, vh = np.linalg.svd(m)
-    top_u = u[:, 0]
-    top_v = vh[0]
-    grad = np.real(np.einsum("i,kij,j->k", np.conj(top_u), k_mats, top_v))
-    return float(s[0]), grad
+    u, s, vh = np.linalg.svd(_embedded(k_mats, x))
+    # The top right singular vector is the first row of vh, conjugated.
+    return float(s[0]), _singular_pair_grad(k_mats, u[:, 0], np.conj(vh[0]))
 
 
 def _smoothed_value_grad(k_mats: np.ndarray, x: np.ndarray, mu: float):
-    """Softmax smoothing of the spectral norm via the Hermitian dilation
-    H = [[0, M], [M*, 0]], whose eigenvalues are +-singular values."""
-    m = _embedded(k_mats, x)
-    n = m.shape[0]
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = m
-    h[n:, :n] = m.conj().T
-    lam, vec = np.linalg.eigh(h)
-    val = mu * logsumexp(lam / mu)
-    w = np.exp(lam / mu - logsumexp(lam / mu))
-    p = vec[:n, :]
-    q = vec[n:, :]
-    # d lam_a / d x_k = 2 Re(p_a* K_k q_a); weight by the softmax.
-    grad = 2 * np.real(np.einsum("ia,kij,ja,a->k", np.conj(p), k_mats, q, w))
-    return float(val), grad
+    """Softmax smoothing mu * log sum_i (e^{s_i/mu} + e^{-s_i/mu}) of the
+    spectral norm, with its gradient.
+
+    The terms +-s_i are the eigenvalues of the Hermitian dilation
+    [[0, M], [M*, 0]], read off an SVD M = U diag(s) Vh.  Since
+    d s_i / d x_k = Re(u_i* K_k v_i), the gradient is
+    Re <K_k, conj(U diag(c) Vh)>, where c_i is the softmax weight of +s_i
+    minus that of -s_i.  U diag(c) Vh does not depend on the basis chosen
+    inside a degenerate singular subspace, and neither does the gradient.
+    """
+    u, s, vh = np.linalg.svd(_embedded(k_mats, x))
+    # Shift by the largest term, s_0, so that no exponential overflows.
+    plus = np.exp((s - s[0]) / mu)
+    minus = np.exp((-s - s[0]) / mu)
+    total = plus.sum() + minus.sum()
+    c = (plus - minus) / total
+    grad = np.real(k_mats.reshape(len(x), -1) @ np.conj((u * c) @ vh).reshape(-1))
+    return float(s[0] + mu * math.log(total)), grad
 
 
 def _minimize_slice(k_mats: np.ndarray, c: np.ndarray, masks: np.ndarray,
@@ -201,8 +203,10 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f,
 
     Every visited point contributes the cut Re(u* M(x) v) <= s through its
     top singular pair, which underestimates the spectral norm everywhere.
-    The LP value is a certified lower bound, so the returned gap is a true
-    optimality gap rather than a heuristic estimate.
+    The LP runs over the box |z| <= radius, whose size is a heuristic, so
+    its value bounds the minimum from below only when the minimizer lies
+    inside the box.  The returned gap, best value minus that bound, is in
+    norm units (1/d) and carries the same condition.
     """
     dim = basis.shape[1]
     z = np.linalg.lstsq(basis, best_x - x0, rcond=None)[0]
@@ -219,12 +223,12 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f,
         for a in range(len(s)):
             if s[a] < s[0] - 1e-8 * max(s[0], 1.0):
                 break
-            w = np.einsum("i,kij,j->k", np.conj(u[:, a]), k_mats, vh[a])
+            w = _singular_pair_grad(k_mats, u[:, a], np.conj(vh[a]))
             row = np.empty(dim + 1)
-            row[:dim] = np.real(w) @ basis
+            row[:dim] = w @ basis
             row[-1] = -1.0
             rows.append(row)
-            rhs.append(-float(np.real(w) @ x0))
+            rhs.append(-float(w @ x0))
 
     add_cuts(best_x)
     for _ in range(max_cuts):
@@ -312,7 +316,6 @@ def brute_force_distance(t: SpectralTriple, w1: State, w2: State,
         phases = np.exp(2j * np.pi * np.arange(complex_phases) / complex_phases)
         axis = np.unique(np.concatenate([axis[None, :] * ph for ph in phases]))
 
-    total = len(axis) ** k
     best = 0.0
 
     # Coarse pre-pass (a strided subgrid) seeds the incumbent so that the full

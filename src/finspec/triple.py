@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,22 @@ class SpectralTriple:
 
     def represent(self, values) -> np.ndarray:
         return self.algebra.represent(values)
+
+    # The triple is frozen and its arrays are write-locked, so data derived
+    # from it is computed on first use and kept for its lifetime.
+
+    @cached_property
+    def commutators(self) -> np.ndarray:
+        """Read-only tensor of the commutators [D, P_i], shape (k, n, n)."""
+        d = self.dirac
+        k_mats = np.stack([d @ p - p @ d for p in self.algebra.projections])
+        k_mats.setflags(write=False)
+        return k_mats
+
+    @cached_property
+    def components(self) -> tuple:
+        """coupling_components at the default tolerance, as tuples."""
+        return tuple(tuple(comp) for comp in coupling_components(self))
 
 
 @dataclass(frozen=True)

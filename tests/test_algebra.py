@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finspec import algebra
-from finspec.errors import EmptyFiber
+from finspec.errors import AlgebraMismatch, EmptyFiber
 
 
 def diag_algebra(assignment, k):
@@ -44,6 +44,11 @@ def test_state_normalization_and_purity():
     assert w(x) == pytest.approx(2.5)
     with pytest.raises(Exception):
         algebra.State(a, (0.5, 0.6))
+    for i in (-1, 2):
+        with pytest.raises(AlgebraMismatch):
+            a.pure_state(i)
+        with pytest.raises(AlgebraMismatch):
+            a.basis_element(i)
 
 
 def test_gelfand_spectrum_recovers_assignment(rng):

@@ -146,3 +146,13 @@ def test_out_flag_writes_file(tmp_path, ko0_path, capsys):
     code, out, _ = run(capsys, "validate", ko0_path, "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("states", [("0", "2"), ("1", "4"), ("4", "1")])
+def test_distance_states_out_of_range_is_usage_error(tmp_path, capsys, states):
+    path = write_json(tmp_path / "i3.json",
+                      triple_to_json(fs.lattice_interval(3, 2.0)[1]))
+    code, out, err = run(capsys, "distance", path, "--states", *states)
+    assert code == 2
+    assert out == ""
+    assert "1..3" in err

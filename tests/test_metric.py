@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import finspec as fs
-from finspec import metric
+from finspec import metric, triple
 from finspec.algebra import State
-from finspec.errors import TooManyCharacters
+from finspec.errors import AlgebraMismatch, TooManyCharacters
+from finspec.geometry import graph_triple, random_connected_geometry
+
+from conftest import haar_unitary
 
 
 def two_point(length=1.0):
@@ -134,3 +138,104 @@ def test_distance_value_json_roundtrip():
     inf = fs.connes_distance(t2, t2.algebra.pure_state(0),
                              t2.algebra.pure_state(2))
     assert inf.to_json()["value"] == "inf"
+
+
+def test_detect_infinite_rejects_out_of_range_indices():
+    t = fs.direct_sum(two_point(1.0), two_point(1.0))
+    for i, j in ((0, 99), (0, -1), (99, 0), (-1, 0), (4, 4)):
+        with pytest.raises(AlgebraMismatch):
+            metric.detect_infinite(t, i, j)
+    assert not metric.detect_infinite(t, 3, 2)
+
+
+def _dilation_value_grad(k_mats, x, mu):
+    """Reference smoothing: softmax over the eigenvalues of the Hermitian
+    dilation [[0, M], [M*, 0]] of M = sum_i x_i K_i, with its gradient."""
+    m = np.tensordot(x, k_mats, axes=1)
+    n = m.shape[0]
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    h[:n, n:] = m
+    h[n:, :n] = m.conj().T
+    lam, vec = np.linalg.eigh(h)
+    w = np.exp(lam / mu - logsumexp(lam / mu))
+    p, q = vec[:n, :], vec[n:, :]
+    grad = 2 * np.real(np.einsum("ia,kij,ja,a->k", np.conj(p), k_mats, q, w))
+    return mu * logsumexp(lam / mu), grad
+
+
+def _gradient_triples():
+    rng = np.random.default_rng(2008)
+    return [
+        pytest.param(fs.lattice_circle(8, 1.0)[1], id="circle_8"),  # degenerate s_i
+        pytest.param(fs.lattice_interval(6, 2.0)[1], id="interval_6"),
+        pytest.param(graph_triple(random_connected_geometry(rng, 5, 2)),
+                     id="cyclic_5"),
+    ]
+
+
+@pytest.mark.parametrize("t", _gradient_triples())
+def test_smoothed_gradient_matches_reference(t):
+    """The SVD form agrees with the dilation eigh form and with central
+    finite differences."""
+    k_mats = metric._commutator_generators(t)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=t.algebra.k)
+    for mu in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
+        val, grad = metric._smoothed_value_grad(k_mats, x, mu)
+        ref_val, ref_grad = _dilation_value_grad(k_mats, x, mu)
+        assert val == pytest.approx(ref_val, rel=1e-12)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
+        h = 1e-3 * mu
+        fd = np.array([
+            (metric._smoothed_value_grad(k_mats, x + h * e, mu)[0]
+             - metric._smoothed_value_grad(k_mats, x - h * e, mu)[0]) / (2 * h)
+            for e in np.eye(len(x))
+        ])
+        assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(grad)), mu
+
+
+@pytest.mark.parametrize("t", _gradient_triples())
+def test_subgradient_matches_finite_differences_complex(t):
+    """Conjugated by a random unitary, the commutators are complex; the
+    spectral-norm gradient must still be the derivative of the norm."""
+    rng = np.random.default_rng(11)
+    t = fs.conjugate_triple(t, haar_unitary(rng, t.rep_dim))
+    k_mats = metric._commutator_generators(t)
+    x = rng.normal(size=t.algebra.k)
+    f, grad = metric._spectral_value_subgrad(k_mats, x)
+    h = 1e-6
+    fd = np.array([
+        (metric._spectral_value_subgrad(k_mats, x + h * e)[0]
+         - metric._spectral_value_subgrad(k_mats, x - h * e)[0]) / (2 * h)
+        for e in np.eye(len(x))
+    ])
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * max(f, 1.0)
+
+
+@pytest.mark.parametrize("t", _gradient_triples() + [
+    pytest.param(fs.direct_sum(fs.lattice_interval(3, 2.0)[1], two_point(0.5)),
+                 id="interval_3+two_point"),
+])
+def test_matrix_entries_equal_pairwise_distances(t):
+    seed = 3
+    values = fs.distance_matrix(t, seed=seed).values
+    for i in range(t.algebra.k):
+        for j in range(i + 1, t.algebra.k):
+            d = fs.connes_distance(t, t.algebra.pure_state(i),
+                                   t.algebra.pure_state(j), seed=seed)
+            assert values[i, j] == d.value
+
+
+def test_per_triple_setup_runs_once(monkeypatch):
+    calls = []
+    original = triple.coupling_components
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(triple, "coupling_components", counting)
+    t = fs.lattice_circle(6, 1.0)[1]
+    fs.distance_matrix(t)
+    assert len(calls) <= 1
+    assert metric._commutator_generators(t) is metric._commutator_generators(t)
