@@ -25,8 +25,8 @@ from .geometry import (DiscreteGeometry, GeometryMap, geodesic_matrix,
                        graph_components, graph_triple)
 from .metric import connes_distance, distance_matrix
 from .numerics import operator_norm
-from .triple import (CheckResult, SpectralTriple, _component_isometry,
-                     coupling_components, _compress)
+from .triple import (CheckReport, CheckResult, SpectralTriple,
+                     _component_isometry, coupling_components, _compress)
 
 MORPHISM_TOL = 1e-8
 DISTANCE_TOL = 1e-6
@@ -61,27 +61,7 @@ class SfMorphism:
         object.__setattr__(self, "phi", p)
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def max_residual(self) -> float:
-        finite = [c.residual for c in self.checks if math.isfinite(c.residual)]
-        return max(finite) if finite else 0.0
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_json(self) -> dict:
-        return {"pass": self.passed, "checks": [c.to_json() for c in self.checks]}
+MorphismReport = CheckReport
 
 
 def _triples_compatible(t1: SpectralTriple, t2: SpectralTriple) -> bool:

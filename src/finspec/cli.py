@@ -35,7 +35,10 @@ def _load_triple(path: str):
     doc = _load_json(path)
     if isinstance(doc, dict) and "triple" in doc and "algebra" not in doc:
         doc = doc["triple"]
-    return triple_mod.triple_from_json(doc)
+    try:
+        return triple_mod.triple_from_json(doc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _UsageFailure(f"malformed triple in {path}: {exc!r}") from exc
 
 
 class _UsageFailure(Exception):
@@ -60,7 +63,7 @@ def _emit(payload, out_path):
 
 def cmd_validate(args) -> int:
     t = _load_triple(args.triple)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else triple_mod.ALGEBRAIC_TOL
     report = triple_mod.validate_triple(t, tol=tol)
     payload = {"validation": report.to_json()}
     ok = report.passed
@@ -76,6 +79,11 @@ def cmd_validate(args) -> int:
 
 def cmd_distance(args) -> int:
     t = _load_triple(args.triple)
+    if args.complex_search and t.algebra.k > 4:
+        raise _UsageFailure(
+            f"--complex-search runs the grid oracle, which is limited to "
+            f"k <= 4 characters; this triple has k = {t.algebra.k}"
+        )
     if args.states is not None:
         i, j = args.states
         try:
@@ -87,7 +95,7 @@ def cmd_distance(args) -> int:
             ) from exc
         d = metric.connes_distance(t, w1, w2, seed=args.seed)
         payload = {"pass": True, "distance": d.to_json()}
-        if args.complex_search and t.algebra.k <= 4:
+        if args.complex_search:
             real_lb = metric.brute_force_distance(t, w1, w2, box=4.0, grid=21)
             cplx_lb = metric.brute_force_distance(
                 t, w1, w2, box=4.0, grid=21, complex_phases=4
@@ -110,12 +118,13 @@ def cmd_morphism(args) -> int:
     tol = args.tol
     if isinstance(m, category.MetricMorphism):
         report = category.check_metric_morphism(
-            t1, t2, m.hom, tol=tol if tol is not None else 1e-6, seed=args.seed
+            t1, t2, m.hom,
+            tol=tol if tol is not None else category.DISTANCE_TOL, seed=args.seed
         )
         payload = report.to_json()
     else:
         report = category.check_sf_morphism(
-            t1, t2, m, tol=tol if tol is not None else 1e-8
+            t1, t2, m, tol=tol if tol is not None else category.MORPHISM_TOL
         )
         payload = report.to_json()
         if m.isometric and report.passed:

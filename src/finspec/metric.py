@@ -127,74 +127,45 @@ def _smoothed_value_grad(k_mats: np.ndarray, x: np.ndarray, mu: float):
     return float(s[0] + mu * math.log(total)), grad
 
 
-def _minimize_slice(k_mats: np.ndarray, c: np.ndarray, masks: np.ndarray,
-                    seed: int, restarts: int, subgrad_iters: int):
+def _minimize_slice(k_mats: np.ndarray, c: np.ndarray, masks: np.ndarray):
     """min ||sum_i x_i K_i|| over the affine slice {c.x = 1}.
 
     Per-component constant shifts leave both objective and constraint value
-    unchanged, so the search is restricted to per-component zero-sum vectors.
-    Projected subgradient passes (seeded restarts, 1/sqrt(t) steps) are
-    followed by a softmax-smoothing polish minimized with L-BFGS.
+    unchanged, so the search is restricted to per-component zero-sum vectors
+    x = x0 + basis z, where x0 is the least-norm point of the slice.  Two
+    phases run, both deterministic: a softmax-smoothing polish minimized with
+    L-BFGS from z = 0 while the smoothing width shrinks, then Kelley cutting
+    planes, which bound the remaining gap.
     """
-    k = len(c)
     a_rows = np.vstack([c[None, :], masks])
     rhs = np.zeros(a_rows.shape[0])
     rhs[0] = 1.0
     x0, *_ = np.linalg.lstsq(a_rows, rhs, rcond=None)
     basis = null_space(a_rows)
-
-    def as_x(z):
-        return x0 + basis @ z if basis.size else x0
-
-    rng = np.random.default_rng(seed)
     best_x = x0
     best_f, _ = _spectral_value_subgrad(k_mats, x0)
+    if not basis.size:
+        return best_x, best_f, 0.0
 
-    if basis.size:
-        dim = basis.shape[1]
-        for r in range(restarts):
-            z = np.zeros(dim) if r == 0 else rng.normal(size=dim)
-            x = as_x(z)
-            f, g = _spectral_value_subgrad(k_mats, x)
-            gz = basis.T @ g
-            step0 = max(f, 1e-12) / max(np.linalg.norm(gz), 1e-12)
-            local_best = f
-            for it in range(1, subgrad_iters + 1):
-                gn = np.linalg.norm(gz)
-                if gn <= 1e-14:
-                    break
-                z = z - (step0 / math.sqrt(it)) * gz / gn
-                f, g = _spectral_value_subgrad(k_mats, as_x(z))
-                gz = basis.T @ g
-                if f < local_best:
-                    local_best = f
-                    if f < best_f:
-                        best_f, best_x = f, as_x(z)
-
-        # Smoothing polish from the incumbent.
-        z = np.linalg.lstsq(basis, best_x - x0, rcond=None)[0]
-        mu = max(best_f, 1e-9) / 10.0
-        mu_floor = max(best_f, 1e-9) * 1e-8
-        while True:
-            res = minimize(
-                lambda zz: _reduce_grad(k_mats, x0, basis, zz, mu),
-                z, jac=True, method="L-BFGS-B",
-                options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12},
-            )
-            z = res.x
-            f, _ = _spectral_value_subgrad(k_mats, as_x(z))
-            if f < best_f:
-                best_f, best_x = f, as_x(z)
-            if mu <= mu_floor:
-                break
-            mu = max(mu / 20.0, mu_floor)
-
-        best_x, best_f, gap = _cutting_plane_refine(
-            k_mats, x0, basis, best_x, best_f
+    z = np.zeros(basis.shape[1])
+    mu = max(best_f, 1e-9) / 10.0
+    mu_floor = max(best_f, 1e-9) * 1e-8
+    while True:
+        res = minimize(
+            lambda zz: _reduce_grad(k_mats, x0, basis, zz, mu),
+            z, jac=True, method="L-BFGS-B",
+            options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12},
         )
-        return best_x, best_f, gap
+        z = res.x
+        x = x0 + basis @ z
+        f, _ = _spectral_value_subgrad(k_mats, x)
+        if f < best_f:
+            best_f, best_x = f, x
+        if mu <= mu_floor:
+            break
+        mu = max(mu / 20.0, mu_floor)
 
-    return best_x, best_f, 0.0
+    return _cutting_plane_refine(k_mats, x0, basis, best_x, best_f)
 
 
 def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f,
@@ -252,10 +223,17 @@ def _reduce_grad(k_mats, x0, basis, z, mu):
     return val, basis.T @ grad
 
 
-def connes_distance(t: SpectralTriple, w1: State, w2: State, seed: int = 0,
-                    restarts: int = 2, subgrad_iters: int = 120) -> DistanceValue:
-    """Spectral distance between two states, with optimality certificate."""
+def connes_distance(t: SpectralTriple, w1: State, w2: State,
+                    seed: int = 0) -> DistanceValue:
+    """Spectral distance between two states, with optimality certificate.
+
+    The solver is deterministic: `seed` is accepted for compatibility with
+    earlier versions and does not change the answer.  A triple whose Dirac
+    operator is not Hermitian is rejected (NotHermitian) before anything
+    else is computed.
+    """
     _check_states(t, w1, w2)
+    k_mats = _commutator_generators(t)
     c = np.asarray(w1.weights) - np.asarray(w2.weights)
     if np.max(np.abs(c)) <= 1e-14:
         return DistanceValue(0.0, None, 0.0)
@@ -266,24 +244,21 @@ def connes_distance(t: SpectralTriple, w1: State, w2: State, seed: int = 0,
         # constant per component has vanishing commutator and unbounded gap.
         return DistanceValue(math.inf, None, 0.0)
 
-    k_mats = _commutator_generators(t)
-    x, f, gap = _minimize_slice(k_mats, c, masks, seed, restarts, subgrad_iters)
+    x, f, gap = _minimize_slice(k_mats, c, masks)
     if f <= 1e-9:
         return DistanceValue(math.inf, None, 0.0)
     cert = AlgebraElement(t.algebra, (x / f).astype(complex))
     return DistanceValue(1.0 / f, cert, gap)
 
 
-def distance_matrix(t: SpectralTriple, seed: int = 0, **solver_kwargs) -> DistanceMatrix:
-    """Pairwise spectral distances between all pure states."""
+def distance_matrix(t: SpectralTriple, seed: int = 0) -> DistanceMatrix:
+    """Pairwise spectral distances between all pure states.  `seed` is
+    accepted for compatibility and does not change the answer."""
     k = t.algebra.k
     values = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            d = connes_distance(
-                t, t.algebra.pure_state(i), t.algebra.pure_state(j),
-                seed=seed, **solver_kwargs,
-            )
+            d = connes_distance(t, t.algebra.pure_state(i), t.algebra.pure_state(j))
             values[i, j] = values[j, i] = d.value
     return DistanceMatrix(t.algebra.labels, values)
 

@@ -173,4 +173,6 @@ def matrix_from_json(obj) -> np.ndarray:
     for i, row in enumerate(entries):
         for j, (re, im) in enumerate(row):
             m[i, j] = complex(re, im)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     return m

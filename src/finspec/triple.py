@@ -19,7 +19,7 @@ from . import numerics
 from .algebra import (AlgebraElement, AlgebraHom, FiniteCommutativeAlgebra,
                       algebra_from_json, algebra_to_json, same_algebra)
 from .errors import (AlgebraMismatch, DegreeZero, NoRealStructure,
-                     ParityMismatch, RealStructureMismatch)
+                     NotHermitian, ParityMismatch, RealStructureMismatch)
 from .numerics import anticommutator, commutator, operator_norm
 
 ALGEBRAIC_TOL = 1e-9
@@ -98,8 +98,14 @@ class SpectralTriple:
 
     @cached_property
     def commutators(self) -> np.ndarray:
-        """Read-only tensor of the commutators [D, P_i], shape (k, n, n)."""
+        """Read-only tensor of the commutators [D, P_i], shape (k, n, n).
+
+        Every distance and oracle path reads it, so a Dirac operator that is
+        not Hermitian is rejected here, once per triple.
+        """
         d = self.dirac
+        if not numerics.is_hermitian(d):
+            raise NotHermitian("the Dirac operator is not Hermitian")
         k_mats = np.stack([d @ p - p @ d for p in self.algebra.projections])
         k_mats.setflags(write=False)
         return k_mats
@@ -122,7 +128,10 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class CheckReport:
+    """A named list of checks; it passes when every check passes.  Triple
+    validation and morphism checks both report with it."""
+
     checks: tuple
 
     @property
@@ -137,6 +146,9 @@ class ValidationReport:
 
     def to_json(self) -> dict:
         return {"pass": self.passed, "checks": [c.to_json() for c in self.checks]}
+
+
+ValidationReport = CheckReport
 
 
 def validate_triple(t: SpectralTriple, tol: float = ALGEBRAIC_TOL) -> ValidationReport:
@@ -178,30 +190,18 @@ def validate_triple(t: SpectralTriple, tol: float = ALGEBRAIC_TOL) -> Validation
 
 
 @dataclass(frozen=True)
-class RealReport:
-    checks: tuple
+class RealReport(CheckReport):
     j_squared_sign: int          # +1 or -1
     jd_sign: str | None          # "commute" | "anticommute" | None
     jgamma_sign: str | None      # "commute" | "anticommute" | None (odd: None)
 
     @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
     def signs(self):
         return (self.j_squared_sign, self.jd_sign, self.jgamma_sign)
 
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_json(self) -> dict:
         return {
-            "pass": self.passed,
-            "checks": [c.to_json() for c in self.checks],
+            **super().to_json(),
             "signs": {
                 "j_squared": self.j_squared_sign,
                 "jd": self.jd_sign,

@@ -167,3 +167,16 @@ def test_morphism_json_roundtrip():
     assert np.allclose(back.phi, m.phi)
     assert back.hom.character_map == m.hom.character_map
     assert (back.real, back.even, back.isometric) == (True, True, True)
+
+
+def test_reports_share_one_class():
+    assert fs.MorphismReport is fs.ValidationReport
+    t = fs.lattice_interval(3, 1.0)[1]
+    m = category.identity_sf_morphism(t, real=True, even=True, isometric=True)
+    report = category.check_sf_morphism(t, t, m)
+    assert isinstance(report, fs.ValidationReport)
+    assert report["coisometry"].passed
+    doc = report.to_json()
+    assert list(doc) == ["pass", "checks"]
+    assert doc["checks"][0] == {"name": "algebra_intertwining", "pass": True,
+                                "residual": report.checks[0].residual}

@@ -156,3 +156,72 @@ def test_distance_states_out_of_range_is_usage_error(tmp_path, capsys, states):
     assert code == 2
     assert out == ""
     assert "1..3" in err
+
+
+def test_distance_rejects_nonhermitian_dirac(tmp_path, capsys):
+    doc = triple_to_json(fs.two_point_geometry(5.0)[1])
+    doc["dirac"]["entries"][0][1] = [5.0, 0.0]
+    path = write_json(tmp_path / "bad.json", doc)
+    code, out, err = run(capsys, "distance", path)
+    assert code == 1
+    assert out == ""
+    assert "Hermitian" in err
+    code, out, _ = run(capsys, "distance", path, "--states", "1", "2")
+    assert code == 1
+    assert out == ""
+    # validate still reports the failed axiom instead of raising
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    names = {c["name"]: c["pass"] for c in json.loads(out)["validation"]["checks"]}
+    assert names["dirac_selfadjoint"] is False
+
+
+def _nan_entry(doc):
+    doc["dirac"]["entries"][0][1] = [float("nan"), 0.0]
+
+
+def _inf_entry(doc):
+    doc["dirac"]["entries"][1][0] = [0.0, float("inf")]
+
+
+def _short_row(doc):
+    doc["dirac"]["entries"][0].pop()
+
+
+def _missing_dirac(doc):
+    del doc["dirac"]
+
+
+@pytest.mark.parametrize("corrupt", [_nan_entry, _inf_entry, _short_row,
+                                     _missing_dirac])
+def test_malformed_triple_is_usage_error(tmp_path, capsys, corrupt):
+    doc = triple_to_json(fs.two_point_geometry(0.5)[1])
+    corrupt(doc)
+    path = write_json(tmp_path / "malformed.json", doc)
+    code, out, err = run(capsys, "distance", path)
+    assert code == 2
+    assert out == ""
+    assert "malformed triple" in err
+
+
+def test_complex_search_beyond_oracle_limit_is_usage_error(tmp_path, capsys):
+    ex = str(tmp_path / "c6.json")
+    assert run(capsys, "example", "circle_6", "--out", ex)[0] == 0
+    code, out, err = run(capsys, "distance", ex, "--states", "1", "2",
+                         "--complex-search")
+    assert code == 2
+    assert out == ""
+    assert "k <= 4" in err
+
+
+def test_complex_search_within_oracle_limit(tmp_path, capsys):
+    path = write_json(tmp_path / "i3.json",
+                      triple_to_json(fs.lattice_interval(3, 2.0)[1]))
+    code, out, _ = run(capsys, "distance", path, "--states", "1", "3",
+                       "--complex-search")
+    assert code == 0
+    doc = json.loads(out)
+    d = doc["distance"]["value"]
+    assert set(doc["crosscheck"]) == {"real_grid_lower_bound",
+                                      "complex_grid_lower_bound"}
+    assert all(lb <= d * (1 + 1e-9) for lb in doc["crosscheck"].values())

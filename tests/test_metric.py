@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 import finspec as fs
 from finspec import metric, triple
 from finspec.algebra import State
-from finspec.errors import AlgebraMismatch, TooManyCharacters
+from finspec.errors import AlgebraMismatch, NotHermitian, TooManyCharacters
 from finspec.geometry import graph_triple, random_connected_geometry
 
 from conftest import haar_unitary
@@ -126,7 +126,39 @@ def test_distance_deterministic_across_calls():
     w1, w2 = t.algebra.pure_state(0), t.algebra.pure_state(2)
     a = fs.connes_distance(t, w1, w2, seed=7).value
     b = fs.connes_distance(t, w1, w2, seed=7).value
+    c = fs.connes_distance(t, w1, w2, seed=8).value
     assert a == b
+    assert np.float64(a).tobytes() == np.float64(c).tobytes()
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(fs.lattice_circle(8, 1.0)[1], id="circle_8"),
+    pytest.param(graph_triple(random_connected_geometry(
+        np.random.default_rng(2008), 5, 2)), id="cyclic_5"),
+])
+def test_distance_matrix_ignores_seed(t):
+    """The solver holds no random state: the seed does not change a bit."""
+    a = fs.distance_matrix(t, seed=0).values
+    b = fs.distance_matrix(t, seed=12345).values
+    assert a.tobytes() == b.tobytes()
+
+
+def test_nonhermitian_dirac_rejected_before_any_distance():
+    t = two_point(5.0)
+    d = t.dirac.copy()
+    d[0, 1] = 5.0
+    bad = triple.SpectralTriple(t.algebra, d, t.grading, t.real_structure,
+                                t.parity)
+    w1, w2 = bad.algebra.pure_state(0), bad.algebra.pure_state(1)
+    with pytest.raises(NotHermitian):
+        fs.connes_distance(bad, w1, w1)
+    with pytest.raises(NotHermitian):
+        fs.connes_distance(bad, w1, w2)
+    with pytest.raises(NotHermitian):
+        fs.distance_matrix(bad)
+    with pytest.raises(NotHermitian):
+        fs.brute_force_distance(bad, w1, w2, box=1.0, grid=5)
+    assert not fs.validate_triple(bad)["dirac_selfadjoint"].passed
 
 
 def test_distance_value_json_roundtrip():

@@ -98,6 +98,10 @@ def test_matrix_json_roundtrip(rng):
     assert doc["dim"] == 3
     back = numerics.matrix_from_json(doc)
     assert np.allclose(back, m)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        doc["entries"][2][1] = [0.0, bad]
+        with pytest.raises(ValueError):
+            numerics.matrix_from_json(doc)
 
 
 @settings(max_examples=30, deadline=None)
