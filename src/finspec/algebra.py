@@ -8,7 +8,8 @@ characters, which makes pullbacks and composition exact combinatorics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,31 @@ class FiniteCommutativeAlgebra:
 
     def is_valid(self, tol: float = 1e-9) -> bool:
         return all(r <= tol for _, r in self.projection_residuals(tol))
+
+    @cached_property
+    def character_basis(self):
+        """(V, owner): a read-only unitary V whose column c lies in the
+        range of P_owner[c], owner ascending, from one eigendecomposition of
+        sum_i (i + 1) P_i.
+
+        Raises AlgebraMismatch unless every P_i V equals V masked to
+        owner == i (to numerics.ATOL in Frobenius norm, checked as
+        P_i = V_i V_i* for the columns V_i owned by i; V_i V_i* is Hermitian,
+        so this also covers the triangle of the sum that eigh does not read).
+        """
+        weighted = sum((i + 1) * p for i, p in enumerate(self.projections))
+        w, v = np.linalg.eigh(weighted)
+        owner = np.rint(w).astype(int) - 1
+        valid = owner.min() >= 0 and owner.max() < self.k and all(
+            np.linalg.norm(p - v[:, owner == i] @ v[:, owner == i].conj().T)
+            <= numerics.ATOL
+            for i, p in enumerate(self.projections)
+        )
+        if not valid:
+            raise AlgebraMismatch(
+                "the projections are not an orthogonal resolution of the identity"
+            )
+        return _readonly(v), _readonly(owner)
 
 
 def same_algebra(a: FiniteCommutativeAlgebra, b: FiniteCommutativeAlgebra,

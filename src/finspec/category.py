@@ -10,7 +10,7 @@ embedding gives a metric morphism; the coisometric case contracts distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +21,11 @@ from .algebra import (AlgebraHom, State, check_epimorphism, compose_homs,
 from .errors import (AlgebraMismatch, EndpointMismatch, InvalidMorphism,
                      KindMismatch, NotIsometric, NotOntoComponents,
                      ShapeMismatch)
-from .geometry import (DiscreteGeometry, GeometryMap, geodesic_matrix,
-                       graph_components, graph_triple)
+from .geometry import (GeometryMap, geodesic_matrix, graph_components,
+                       graph_triple)
 from .metric import connes_distance, distance_matrix
 from .numerics import operator_norm
-from .triple import (CheckReport, CheckResult, SpectralTriple,
-                     _component_isometry, coupling_components, _compress)
+from .triple import CheckReport, CheckResult, SpectralTriple, _compress
 
 MORPHISM_TOL = 1e-8
 DISTANCE_TOL = 1e-6
@@ -245,17 +244,15 @@ def restriction_morphism(t: SpectralTriple, characters):
     Flags are set from the structure actually present on t.
     """
     characters = sorted(int(c) for c in characters)
-    comps = coupling_components(t)
     allowed = set()
-    for comp in comps:
+    for comp in t.components:
         if any(c in characters for c in comp):
             allowed.update(comp)
     if allowed != set(characters):
         raise NotOntoComponents(
             "characters must form a union of coupling components"
         )
-    sub = _compress(t, characters)
-    v = _component_isometry(t, characters)
+    sub, v = _compress(t, characters)
     hom = AlgebraHom(t.algebra, sub.algebra, tuple(characters))
     return sub, SfMorphism(
         t, sub, hom, v.conj().T,
@@ -307,15 +304,7 @@ def morphism_to_json(m) -> dict:
     return {
         "kind": "sf",
         "character_map": hom_to_json(m.hom)["character_map"],
-        "phi_matrix": numerics.matrix_to_json(np.asarray(m.phi))
-        if m.phi.shape[0] == m.phi.shape[1]
-        else {
-            "rows": m.phi.shape[0],
-            "cols": m.phi.shape[1],
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in m.phi
-            ],
-        },
+        "phi_matrix": numerics.matrix_to_json(m.phi),
         "flags": {"real": m.real, "even": m.even, "isometric": m.isometric},
     }
 
@@ -328,12 +317,7 @@ def morphism_from_json(t1: SpectralTriple, t2: SpectralTriple, obj):
     pm = obj["phi_matrix"]
     if pm is None:
         raise ValueError("sf morphism requires a phi matrix")
-    if "dim" in pm:
-        phi = numerics.matrix_from_json(pm)
-    else:
-        phi = np.array(
-            [[complex(re, im) for re, im in row] for row in pm["entries"]]
-        )
+    phi = numerics.matrix_from_json(pm)
     flags = obj.get("flags", {})
     return SfMorphism(
         t1, t2, hom, phi,

@@ -9,36 +9,50 @@ with 2, failed checks with 1, I/O problems with 3.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
-import math
 import re
 import sys
 
 from . import category, geometry, metric, triple as triple_mod
-from .algebra import state_from_json
 from .errors import AlgebraMismatch, ToolkitError
 
 
-def _load_json(path: str):
+def _decode(path: str, what: str, decode):
+    """Read a JSON file and decode it.  An unreadable file is an I/O error;
+    malformed JSON and a failed decode are usage errors.
+
+    A triple file is an acyclic tree of up to ~10^4 lists, which reference
+    counting frees once it is decoded.  The cyclic collector is paused until
+    then: collecting while the tree is built promotes it to the oldest
+    generation and sets off a full collection every few loads.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return decode(json.load(fh))
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise _UsageFailure(f"malformed JSON in {path}: {exc}") from exc
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _UsageFailure(f"malformed {what} in {path}: {exc!r}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_triple(path: str):
     """Read a triple, unwrapping the {'triple': ...} envelope that the
     example subcommand emits."""
-    doc = _load_json(path)
-    if isinstance(doc, dict) and "triple" in doc and "algebra" not in doc:
-        doc = doc["triple"]
-    try:
+
+    def decode(doc):
+        if isinstance(doc, dict) and "triple" in doc and "algebra" not in doc:
+            doc = doc["triple"]
         return triple_mod.triple_from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageFailure(f"malformed triple in {path}: {exc!r}") from exc
+
+    return _decode(path, "triple", decode)
 
 
 class _UsageFailure(Exception):
@@ -78,6 +92,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.complex_search and args.states is None:
+        raise _UsageFailure("--complex-search checks one pair: give --states I J")
     t = _load_triple(args.triple)
     if args.complex_search and t.algebra.k > 4:
         raise _UsageFailure(
@@ -114,7 +130,8 @@ def cmd_distance(args) -> int:
 def cmd_morphism(args) -> int:
     t1 = _load_triple(args.triple1)
     t2 = _load_triple(args.triple2)
-    m = category.morphism_from_json(t1, t2, _load_json(args.morphism))
+    m = _decode(args.morphism, "morphism",
+                lambda doc: category.morphism_from_json(t1, t2, doc))
     tol = args.tol
     if isinstance(m, category.MetricMorphism):
         report = category.check_metric_morphism(
@@ -143,13 +160,8 @@ def cmd_decompose(args) -> int:
     prefix = args.out or "component"
     paths = []
     for idx, comp in enumerate(components, start=1):
-        path = f"{prefix}_{idx}.json"
-        try:
-            with open(path, "w") as fh:
-                json.dump(triple_mod.triple_to_json(comp), fh, indent=2)
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
-        paths.append(path)
+        paths.append(f"{prefix}_{idx}.json")
+        _emit(triple_mod.triple_to_json(comp), paths[-1])
     print(json.dumps({
         "pass": True,
         "components": len(components),
@@ -194,7 +206,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g = geometry.geometry_from_json(_load_json(args.geometry))
+    g = _decode(args.geometry, "geometry", geometry.geometry_from_json)
     t = geometry.graph_triple(g)
     report = geometry.compare_metrics(g, t, seed=args.seed)
     _emit(report.to_json(), args.out)

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from . import numerics
 from .algebra import FiniteCommutativeAlgebra
 from .errors import NonpositiveLength, ShapeMismatch, TooFewPoints
 from .metric import distance_matrix
@@ -74,17 +75,12 @@ def geodesic_matrix(g: DiscreteGeometry) -> np.ndarray:
 
 
 def graph_components(g: DiscreteGeometry):
-    dist = geodesic_matrix(g)
-    seen = [False] * g.k
-    comps = []
-    for i in range(g.k):
-        if seen[i]:
-            continue
-        comp = [j for j in range(g.k) if np.isfinite(dist[i, j])]
-        for j in comp:
-            seen[j] = True
-        comps.append(sorted(comp))
-    return comps
+    """Vertex sets of the connected components, as sorted lists ordered by
+    smallest member."""
+    rows = [i for i, _, _ in g.edges]
+    cols = [j for _, j, _ in g.edges]
+    adjacency = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.k, g.k))
+    return numerics.connected_parts(adjacency)
 
 
 def graph_triple(g: DiscreteGeometry) -> SpectralTriple:

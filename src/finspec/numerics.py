@@ -9,6 +9,7 @@ algorithms are dense.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NotCommuting, NotHermitian
 
@@ -155,21 +156,33 @@ def simultaneous_diagonalize(ms, tol: float = 1e-8,
     return basis, diagonals
 
 
+def connected_parts(adjacency) -> list:
+    """Connected components of the undirected graph with the given (dense or
+    sparse) adjacency matrix, as sorted lists ordered by smallest member."""
+    count, labels = connected_components(adjacency, directed=False)
+    return sorted(np.flatnonzero(labels == c).tolist() for c in range(count))
+
+
 def matrix_to_json(m) -> dict:
-    """ComplexMatrix JSON encoding: {"dim": n, "entries": [[[re, im], ...], ...]}."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    entries = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(n)]
-               for i in range(n)]
-    return {"dim": n, "entries": entries}
+    """ComplexMatrix JSON encoding: {"dim": n, "entries": [[[re, im], ...], ...]}
+    for a square matrix, {"rows": r, "cols": c, "entries": ...} otherwise."""
+    m = np.asarray(m, dtype=complex)
+    rows, cols = m.shape
+    entries = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    if rows == cols:
+        return {"dim": rows, "entries": entries}
+    return {"rows": rows, "cols": cols, "entries": entries}
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    n = int(obj["dim"])
+    if "dim" in obj:
+        rows = cols = int(obj["dim"])
+    else:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
     entries = obj["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
+    if len(entries) != rows or any(len(row) != cols for row in entries):
         raise ValueError("entries array does not match declared dimension")
-    m = np.empty((n, n), dtype=complex)
+    m = np.empty((rows, cols), dtype=complex)
     for i, row in enumerate(entries):
         for j, (re, im) in enumerate(row):
             m[i, j] = complex(re, im)

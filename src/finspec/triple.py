@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .algebra import (AlgebraElement, AlgebraHom, FiniteCommutativeAlgebra,
+from .algebra import (AlgebraElement, FiniteCommutativeAlgebra,
                       algebra_from_json, algebra_to_json, same_algebra)
 from .errors import (AlgebraMismatch, DegreeZero, NoRealStructure,
                      NotHermitian, ParityMismatch, RealStructureMismatch)
@@ -101,11 +101,14 @@ class SpectralTriple:
         """Read-only tensor of the commutators [D, P_i], shape (k, n, n).
 
         Every distance and oracle path reads it, so a Dirac operator that is
-        not Hermitian is rejected here, once per triple.
+        not Hermitian (NotHermitian) and a projection family that is not an
+        orthogonal resolution of the identity (AlgebraMismatch) are rejected
+        here, once per triple.
         """
         d = self.dirac
         if not numerics.is_hermitian(d):
             raise NotHermitian("the Dirac operator is not Hermitian")
+        self.algebra.character_basis  # raises AlgebraMismatch on a bad family
         k_mats = np.stack([d @ p - p @ d for p in self.algebra.projections])
         k_mats.setflags(write=False)
         return k_mats
@@ -208,18 +211,6 @@ class RealReport(CheckReport):
                 "jgamma": self.jgamma_sign,
             },
         }
-
-
-def _commutation_sign(x: np.ndarray, y: np.ndarray, tol: float):
-    """Return ('commute'|'anticommute'|None, residual) for the pair x, y."""
-    scale = max(1.0, operator_norm(x) * max(1.0, operator_norm(y)))
-    minus = operator_norm(x @ y - y @ x)
-    plus = operator_norm(x @ y + y @ x)
-    if minus <= tol * scale:
-        return "commute", minus
-    if plus <= tol * scale:
-        return "anticommute", plus
-    return None, min(minus, plus)
 
 
 def check_real_structure(t: SpectralTriple, tol: float = ALGEBRAIC_TOL) -> RealReport:
@@ -543,59 +534,36 @@ def conjugate_triple(t: SpectralTriple, w: np.ndarray) -> SpectralTriple:
 
 
 def coupling_components(t: SpectralTriple, tol: float = ALGEBRAIC_TOL):
-    """Connected components of the character-coupling graph.
+    """Connected components of the character-coupling graph, as sorted lists
+    ordered by smallest member.
 
-    Characters i, j are coupled when D, the grading, or the unitary part of J
-    has a nonzero block between their subspaces.
+    Characters i < j are coupled when D, the grading, or the unitary part U
+    of J, read in the algebra's character basis V (U as V* U conj(V)), has an
+    (i, j) block whose Frobenius norm exceeds tol times the operator's scale.
     """
-    k = t.algebra.k
-    ops = [t.dirac]
-    if t.grading is not None:
-        ops.append(t.grading)
-    scale = [max(1.0, operator_norm(op)) for op in ops]
-
-    adj = [[False] * k for _ in range(k)]
-    proj = t.algebra.projections
-    for i in range(k):
-        for j in range(i + 1, k):
-            coupled = any(
-                operator_norm(proj[i] @ op @ proj[j]) > tol * s
-                for op, s in zip(ops, scale)
-            )
-            if not coupled and t.real_structure is not None:
-                u = t.real_structure.unitary_part
-                coupled = operator_norm(proj[i] @ u @ np.conj(proj[j])) > tol
-            adj[i][j] = adj[j][i] = coupled
-
-    seen = [False] * k
-    components = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(k):
-                if adj[v][w] and not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        components.append(sorted(comp))
-    return components
+    v, owner = t.algebra.character_basis
+    onehot = (owner[:, None] == np.arange(t.algebra.k)).astype(float)
+    ops = [(v.conj().T @ op @ v, max(1.0, operator_norm(op)))
+           for op in (t.dirac, t.grading) if op is not None]
+    if t.real_structure is not None:
+        ops.append((v.conj().T @ t.real_structure.unitary_part @ np.conj(v), 1.0))
+    coupled = np.zeros((t.algebra.k, t.algebra.k), dtype=bool)
+    for m, scale in ops:
+        # Squared block norms summed entrywise: a trace identity would cancel
+        # to ~1e-16, above tol**2.
+        coupled |= onehot.T @ (np.abs(m) ** 2) @ onehot > (tol * scale) ** 2
+    return numerics.connected_parts(np.triu(coupled, 1))
 
 
 def _component_isometry(t: SpectralTriple, chars) -> np.ndarray:
-    """Orthonormal basis (as columns) of the sum of the character subspaces."""
-    total = np.zeros((t.rep_dim, t.rep_dim), dtype=complex)
-    for i in chars:
-        total += t.algebra.projections[i]
-    w, v = numerics.hermitian_eig(total)
-    cols = [i for i, lam in enumerate(w) if lam > 0.5]
-    return v[:, cols]
+    """The columns of the character basis owned by chars: an orthonormal
+    basis of the sum of their subspaces."""
+    v, owner = t.algebra.character_basis
+    return v[:, np.isin(owner, chars)]
 
 
-def _compress(t: SpectralTriple, chars) -> SpectralTriple:
+def _compress(t: SpectralTriple, chars):
+    """The triple cut down to chars, and the isometry embedding it in t."""
     v = _component_isometry(t, chars)
     alg = FiniteCommutativeAlgebra(
         tuple(v.conj().T @ t.algebra.projections[i] @ v for i in chars),
@@ -608,21 +576,20 @@ def _compress(t: SpectralTriple, chars) -> SpectralTriple:
         real = AntiunitaryOperator(
             v.conj().T @ t.real_structure.unitary_part @ np.conj(v)
         )
-    return SpectralTriple(alg, dirac, grading, real, t.parity)
+    return SpectralTriple(alg, dirac, grading, real, t.parity), v
 
 
 def decompose(t: SpectralTriple, tol: float = ALGEBRAIC_TOL):
     """Irreducible components, one per coupling-graph component."""
-    return [_compress(t, chars) for chars in coupling_components(t, tol)]
+    return [_compress(t, chars)[0] for chars in coupling_components(t, tol)]
 
 
 def decompose_detailed(t: SpectralTriple, tol: float = ALGEBRAIC_TOL):
     """Components plus the data needed to reassemble: the character partition
     and the isometries embedding each component back into t's space."""
     parts = coupling_components(t, tol)
-    components = [_compress(t, chars) for chars in parts]
-    isometries = [_component_isometry(t, chars) for chars in parts]
-    return components, parts, isometries
+    compressed = [_compress(t, chars) for chars in parts]
+    return ([c for c, _ in compressed], parts, [v for _, v in compressed])
 
 
 def check_unitary_equivalence(t1: SpectralTriple, t2: SpectralTriple,

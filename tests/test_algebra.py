@@ -22,6 +22,44 @@ def test_function_algebra_projections():
     assert np.allclose(total, np.eye(4))
 
 
+def test_character_basis_resolves_the_projections(rng):
+    a = diag_algebra([0, 2, 1, 0, 2], 3)
+    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    w, _ = np.linalg.qr(z)
+    a = algebra.FiniteCommutativeAlgebra(
+        tuple(w @ p @ w.conj().T for p in a.projections), a.labels)
+    v, owner = a.character_basis
+    assert a.character_basis[0] is v
+    assert not v.flags.writeable and not owner.flags.writeable
+    assert list(owner) == [0, 0, 1, 2, 2]
+    assert np.allclose(v.conj().T @ v, np.eye(5))
+    for i, p in enumerate(a.projections):
+        assert np.allclose(p @ v, v * (owner == i))
+
+
+def _overlapping(ps):
+    return (ps[0] + ps[1],) + ps[1:]
+
+
+def _incomplete(ps):
+    return (np.zeros_like(ps[0]),) + ps[1:]
+
+
+def _not_selfadjoint(ps):
+    p = ps[0].copy()
+    p[0, 1] = 0.5
+    return (p,) + ps[1:]
+
+
+@pytest.mark.parametrize("corrupt", [_overlapping, _incomplete, _not_selfadjoint])
+def test_character_basis_rejects_invalid_families(corrupt):
+    a = diag_algebra([0, 1, 1, 2], 3)
+    bad = algebra.FiniteCommutativeAlgebra(corrupt(a.projections), a.labels)
+    assert not bad.is_valid()
+    with pytest.raises(AlgebraMismatch):
+        bad.character_basis
+
+
 def test_function_algebra_empty_fiber():
     with pytest.raises(EmptyFiber):
         diag_algebra([0, 0, 2], 3)

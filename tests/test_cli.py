@@ -1,10 +1,12 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
 import finspec as fs
-from finspec import cli
+from finspec import category, cli
+from finspec.geometry import disjoint_union, geometry_to_json, graph_triple
 from finspec.triple import (standard_ko_triple, triple_from_json,
                             triple_to_json)
 
@@ -225,3 +227,89 @@ def test_complex_search_within_oracle_limit(tmp_path, capsys):
     assert set(doc["crosscheck"]) == {"real_grid_lower_bound",
                                       "complex_grid_lower_bound"}
     assert all(lb <= d * (1 + 1e-9) for lb in doc["crosscheck"].values())
+
+
+def test_invalid_projection_family_is_rejected(tmp_path, capsys):
+    doc = triple_to_json(fs.lattice_interval(3, 2.0)[1])
+    projections = doc["algebra"]["projections"]
+    p0, p1 = (np.array(p["entries"]) for p in projections[:2])
+    projections[0]["entries"] = (p0 + p1).tolist()  # P0 := P0 + P1
+    path = write_json(tmp_path / "overlap.json", doc)
+    for argv in (["distance", path], ["distance", path, "--states", "1", "3"],
+                 ["decompose", path, "--out", str(tmp_path / "part")]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "orthogonal resolution of the identity" in err
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    names = {c["name"]: c["pass"] for c in json.loads(out)["validation"]["checks"]}
+    assert names["representation_projections"] is False
+
+
+def test_complex_search_without_states_is_usage_error(tmp_path, capsys):
+    path = write_json(tmp_path / "i3.json",
+                      triple_to_json(fs.lattice_interval(3, 2.0)[1]))
+    code, out, err = run(capsys, "distance", path, "--complex-search")
+    assert code == 2
+    assert out == ""
+    assert "--states" in err
+
+
+def test_malformed_morphism_is_usage_error(tmp_path, capsys):
+    t = graph_triple(disjoint_union(fs.lattice_circle(3, 1.0)[0],
+                                    fs.lattice_interval(2, 1.0)[0]))
+    sub, morph = category.restriction_morphism(t, [0, 1, 2])
+    doc = category.morphism_to_json(morph)
+    assert "rows" in doc["phi_matrix"]
+    paths = [write_json(tmp_path / "src.json", triple_to_json(t)),
+             write_json(tmp_path / "sub.json", triple_to_json(sub))]
+    good = write_json(tmp_path / "good.json", doc)
+    assert run(capsys, "morphism", *paths, good)[0] == 0
+    doc["phi_matrix"]["entries"][0][0] = [float("nan"), 0.0]
+    bad = write_json(tmp_path / "nan.json", doc)
+    code, out, err = run(capsys, "morphism", *paths, bad)
+    assert code == 2
+    assert out == ""
+    assert "malformed morphism" in err
+
+
+def test_malformed_geometry_is_usage_error(tmp_path, capsys):
+    doc = geometry_to_json(fs.lattice_circle(4, 1.0)[0])
+    del doc["vertices"]
+    path = write_json(tmp_path / "g.json", doc)
+    code, out, err = run(capsys, "compare", path)
+    assert code == 2
+    assert out == ""
+    assert "malformed geometry" in err
+
+
+def test_loading_runs_no_collection_and_restores_the_collector(tmp_path):
+    g = fs.lattice_circle(7, 1.0)[0]
+    for n in (4, 5):
+        g = disjoint_union(g, fs.lattice_circle(n, 1.0)[0])
+    good = write_json(tmp_path / "sum.json", triple_to_json(graph_triple(g)))
+    doc = triple_to_json(fs.two_point_geometry(0.5)[1])
+    _nan_entry(doc)
+    bad = write_json(tmp_path / "nan.json", doc)
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        assert cli._load_triple(good).algebra.k == 16
+        with pytest.raises(cli._UsageFailure):
+            cli._load_triple(bad)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            cli._load_triple(good)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []

@@ -54,6 +54,22 @@ def test_graph_components():
     assert sorted(len(c) for c in comps) == [2, 3]
 
 
+def test_graph_components_without_geodesics(monkeypatch):
+    g = geometry.disjoint_union(
+        geometry.disjoint_union(fs.lattice_interval(3, 1.0)[0],
+                                fs.lattice_circle(3, 1.0)[0]),
+        fs.lattice_interval(2, 1.0)[0])
+    expected = [[0, 1, 2], [3, 4, 5], [6, 7]]
+    assert [sorted(np.flatnonzero(np.isfinite(row)).tolist())
+            for row in fs.geodesic_matrix(g)[[0, 3, 6]]] == expected
+
+    def forbidden(*args):
+        raise AssertionError("graph_components ran all-pairs shortest paths")
+
+    monkeypatch.setattr(geometry, "geodesic_matrix", forbidden)
+    assert geometry.graph_components(g) == expected
+
+
 def test_interval_spectral_equals_geodesic():
     g, t = fs.lattice_interval(4, 3.0)
     report = geometry.compare_metrics(g, t)

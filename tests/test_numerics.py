@@ -104,6 +104,24 @@ def test_matrix_json_roundtrip(rng):
             numerics.matrix_from_json(doc)
 
 
+def test_rectangular_matrix_json_roundtrip(rng):
+    m = random_complex(rng, (2, 4))
+    doc = numerics.matrix_to_json(m)
+    assert (doc["rows"], doc["cols"]) == (2, 4) and "dim" not in doc
+    assert np.array_equal(numerics.matrix_from_json(doc), m)
+    with pytest.raises(ValueError):
+        numerics.matrix_from_json({**doc, "cols": 3})
+    doc["entries"][1][3] = [float("nan"), 0.0]
+    with pytest.raises(ValueError):
+        numerics.matrix_from_json(doc)
+
+
+def test_connected_parts_order():
+    adjacency = np.zeros((6, 6), dtype=bool)
+    adjacency[4, 1] = adjacency[5, 0] = adjacency[3, 5] = True
+    assert numerics.connected_parts(adjacency) == [[0, 3, 5], [1, 4], [2]]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**30))
 def test_operator_norm_scaling_property(n, seed):

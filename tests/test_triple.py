@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 import finspec as fs
-from finspec import triple as triple_mod
-from finspec.algebra import AlgebraHom
+from finspec import numerics, triple as triple_mod
+from finspec.algebra import AlgebraHom, function_algebra
 from finspec.errors import DegreeZero, NoRealStructure, ParityMismatch
+from finspec.geometry import disjoint_union, graph_triple
 from finspec.triple import (HochschildChain, check_orientability,
                             hochschild_boundary, represent_chain)
 
-from conftest import haar_unitary, identity_witness
+from conftest import (builtin_gallery, haar_unitary, identity_witness,
+                      random_disconnected_geometry, random_graph_triple,
+                      scrambled_sum)
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -211,3 +214,101 @@ def test_triple_json_roundtrip():
     assert fs.check_unitary_equivalence(
         t, back, identity_witness(t, back, np.eye(t.rep_dim))
     )
+
+
+def pairwise_coupling_components(t, tol=triple_mod.ALGEBRAIC_TOL):
+    """Reference: one spectral norm per character pair and operator, then a
+    depth-first search over the coupling graph."""
+    k = t.algebra.k
+    ops = [t.dirac]
+    if t.grading is not None:
+        ops.append(t.grading)
+    scale = [max(1.0, numerics.operator_norm(op)) for op in ops]
+
+    adj = [[False] * k for _ in range(k)]
+    proj = t.algebra.projections
+    for i in range(k):
+        for j in range(i + 1, k):
+            coupled = any(
+                numerics.operator_norm(proj[i] @ op @ proj[j]) > tol * s
+                for op, s in zip(ops, scale)
+            )
+            if not coupled and t.real_structure is not None:
+                u = t.real_structure.unitary_part
+                coupled = numerics.operator_norm(proj[i] @ u @ np.conj(proj[j])) > tol
+            adj[i][j] = adj[j][i] = coupled
+
+    seen = [False] * k
+    components = []
+    for start in range(k):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in range(k):
+                if adj[v][w] and not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        components.append(sorted(comp))
+    return components
+
+
+def _coupled_by_one_operator():
+    """Two characters on C^2 joined by J alone, then by the grading alone."""
+    a = function_algebra(2, 2, [[0], [1]])
+    zero = np.zeros((2, 2))
+    by_j = triple_mod.SpectralTriple(a, zero, None,
+                                     triple_mod.AntiunitaryOperator(SX), "odd")
+    by_grading = triple_mod.SpectralTriple(a, zero, SX, None, "even")
+    return [by_j, by_grading]
+
+
+def sum_of_fifteen():
+    """Five disjoint circles and intervals, 15 characters in all."""
+    parts = [fs.lattice_circle(3, 1.0)[0], fs.lattice_circle(4, 1.5)[0],
+             fs.lattice_interval(3, 2.0)[0], fs.lattice_interval(2, 0.5)[0],
+             fs.lattice_circle(3, 0.7)[0]]
+    g = parts[0]
+    for part in parts[1:]:
+        g = disjoint_union(g, part)
+    return graph_triple(g)
+
+
+def test_coupling_components_match_pairwise_reference(rng):
+    gallery = [t for _, _, t in builtin_gallery()]
+    cases = gallery + _coupled_by_one_operator() + [sum_of_fifteen()]
+    cases += [triple_mod.standard_ko_triple(n) for n in range(8)]
+    for _ in range(10):
+        cases.append(random_graph_triple(rng, int(rng.integers(2, 7)),
+                                         int(rng.integers(0, 3)))[1])
+        cases.append(graph_triple(random_disconnected_geometry(
+            rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))))
+    pools = [[t for t in gallery if t.parity == parity]
+             for parity in ("even", "odd")]
+    for trial in range(20):
+        pool = pools[trial % 2]
+        picks = [pool[int(i)] for i in rng.integers(0, len(pool), size=3)]
+        scrambled, _ = scrambled_sum(rng, picks)
+        cases.append(scrambled)
+        cases.append(fs.conjugate_triple(
+            scrambled, haar_unitary(rng, scrambled.rep_dim)))
+    for t in cases:
+        assert triple_mod.coupling_components(t) == pairwise_coupling_components(t)
+
+
+def test_coupling_components_take_few_operator_norms(monkeypatch):
+    calls = []
+    original = numerics.operator_norm
+
+    def counting(m):
+        calls.append(1)
+        return original(m)
+
+    monkeypatch.setattr(numerics, "operator_norm", counting)
+    monkeypatch.setattr(triple_mod, "operator_norm", counting)
+    t = sum_of_fifteen()
+    assert len(triple_mod.coupling_components(t)) == 5
+    assert len(calls) <= 2
