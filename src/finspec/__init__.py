@@ -11,8 +11,9 @@ from .algebra import (AlgebraElement, AlgebraHom, FiniteCommutativeAlgebra,
                       gelfand_spectrum, identity_hom, pullback_state)
 from .category import (ContractionReport, MetricMorphism, MorphismReport,
                        SfMorphism, check_metric_morphism,
-                       check_pullback_contraction, check_sf_morphism, compose,
-                       crv_pullback, restriction_morphism)
+                       check_pullback_contraction, check_sf_morphism,
+                       check_unitary_equivalence, compose, crv_pullback,
+                       restriction_morphism)
 from .geometry import (ComparisonReport, DiscreteGeometry, GeometryMap,
                        compare_metrics, disjoint_union, geodesic_matrix,
                        graph_triple, lattice_circle, lattice_interval,
@@ -24,9 +25,9 @@ from .numerics import (hermitian_eig, is_hermitian, is_projection, is_unitary,
 from .triple import (AntiunitaryOperator, HochschildChain, OrientabilityReport,
                      RealReport, SpectralTriple, ValidationReport,
                      check_orientability, check_real_structure,
-                     check_unitary_equivalence, conjugate_triple, decompose,
-                     decompose_detailed, direct_sum,
-                     hochschild_boundary, ko_dimension, omega_basis,
-                     represent_chain, standard_ko_triple, validate_triple)
+                     conjugate_triple, decompose, decompose_detailed,
+                     direct_sum, hochschild_boundary, ko_dimension,
+                     omega_basis, represent_chain, standard_ko_triple,
+                     validate_triple)
 
 __version__ = "0.1.0"

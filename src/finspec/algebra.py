@@ -16,8 +16,6 @@ import numpy as np
 from . import numerics
 from .errors import AlgebraMismatch, EmptyFiber
 
-CHARACTER_THRESHOLD = 1e-7  # relative joint-eigenvalue equality threshold
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
@@ -81,7 +79,7 @@ class FiniteCommutativeAlgebra:
     def pure_state(self, i: int) -> "State":
         return State(self, self._indicator(i))
 
-    def projection_residuals(self, tol: float = 1e-9):
+    def projection_residuals(self):
         """Residuals of the projection-family axioms, as (name, value) pairs."""
         out = []
         total = np.zeros((self.rep_dim, self.rep_dim), dtype=complex)
@@ -97,8 +95,8 @@ class FiniteCommutativeAlgebra:
         out.append(("unital", numerics.operator_norm(total - np.eye(self.rep_dim))))
         return out
 
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        return all(r <= tol for _, r in self.projection_residuals(tol))
+    def is_valid(self, tol: float = numerics.ATOL) -> bool:
+        return all(r <= tol for _, r in self.projection_residuals())
 
     @cached_property
     def character_basis(self):
@@ -127,7 +125,7 @@ class FiniteCommutativeAlgebra:
 
 
 def same_algebra(a: FiniteCommutativeAlgebra, b: FiniteCommutativeAlgebra,
-                 tol: float = 1e-9) -> bool:
+                 tol: float = numerics.ATOL) -> bool:
     if a is b:
         return True
     if a.k != b.k or a.rep_dim != b.rep_dim:
@@ -169,13 +167,13 @@ class State:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.algebra.k,):
             raise AlgebraMismatch("weight vector does not match the algebra")
-        if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
+        if w.min() < -numerics.WEIGHT_TOL or abs(w.sum() - 1.0) > numerics.WEIGHT_TOL:
             raise ValueError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", _readonly(w))
 
     @property
     def is_pure(self) -> bool:
-        return bool(np.max(self.weights) >= 1.0 - 1e-12)
+        return bool(np.max(self.weights) >= 1.0 - numerics.WEIGHT_TOL)
 
     def __call__(self, x: AlgebraElement) -> complex:
         return complex(np.dot(self.weights, x.values))
@@ -256,7 +254,8 @@ def function_algebra(k: int, rep_dim: int, assignment) -> FiniteCommutativeAlgeb
     )
 
 
-def gelfand_spectrum(generators, tol: float = 1e-8) -> FiniteCommutativeAlgebra:
+def gelfand_spectrum(generators,
+                     tol: float = numerics.MORPHISM_TOL) -> FiniteCommutativeAlgebra:
     """Algebra generated by commuting normal matrices.
 
     Characters are the distinct joint eigenvalue tuples; the projections are
@@ -272,7 +271,7 @@ def gelfand_spectrum(generators, tol: float = 1e-8) -> FiniteCommutativeAlgebra:
         tup = np.array([d[col] for d in diagonals])
         for rep, cols in groups:
             if all(
-                abs(tup[m] - rep[m]) <= CHARACTER_THRESHOLD * scales[m]
+                abs(tup[m] - rep[m]) <= numerics.DEGENERACY_THRESHOLD * scales[m]
                 for m in range(len(diagonals))
             ):
                 cols.append(col)

@@ -3,8 +3,10 @@
 Two kinds of morphisms are handled: metric morphisms (algebra epimorphisms
 whose state pullback preserves the spectral distance) and intertwiner pairs
 (phi, Phi) acting on both the algebra and the representation space, with
-optional real/even/isometric flags.  The pullback of an isometric graph
-embedding gives a metric morphism; the coisometric case contracts distances.
+optional real/even/isometric flags.  A unitary equivalence is an isometric
+pair with a bijective phi and a square Phi.  The pullback of an isometric
+graph embedding gives a metric morphism; the coisometric case contracts
+distances.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from .errors import (AlgebraMismatch, EndpointMismatch, InvalidMorphism,
 from .geometry import (GeometryMap, geodesic_matrix, graph_components,
                        graph_triple)
 from .metric import connes_distance, distance_matrix
-from .numerics import operator_norm
+from .numerics import ATOL, DISTANCE_TOL, MORPHISM_TOL, operator_norm
 from .triple import CheckReport, CheckResult, SpectralTriple, _compress
 
-MORPHISM_TOL = 1e-8
-DISTANCE_TOL = 1e-6
+MIXED_PAIRS = 8  # random mixed-state pairs of the pullback contraction check
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,6 @@ class MetricMorphism:
     source: SpectralTriple
     target: SpectralTriple
     hom: AlgebraHom
-    tolerance: float = DISTANCE_TOL
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ MorphismReport = CheckReport
 def _triples_compatible(t1: SpectralTriple, t2: SpectralTriple) -> bool:
     return (
         same_algebra(t1.algebra, t2.algebra)
-        and operator_norm(t1.dirac - t2.dirac) <= 1e-9
+        and operator_norm(t1.dirac - t2.dirac) <= ATOL
     )
 
 
@@ -148,6 +148,28 @@ def check_sf_morphism(t1: SpectralTriple, t2: SpectralTriple,
     return MorphismReport(tuple(checks))
 
 
+def check_unitary_equivalence(t1: SpectralTriple, t2: SpectralTriple,
+                              witness, tol: float = MORPHISM_TOL) -> bool:
+    """Is the witness (phi: A1 -> A2, Phi: H1 -> H2) a unitary equivalence?
+
+    It is one when phi is bijective, Phi is square, and (phi, Phi) passes
+    check_sf_morphism as an isometric pair that also intertwines the
+    gradings and the real structures: a grading or J present on one side
+    only fails.
+    """
+    phi, big_phi = witness
+    big_phi = np.asarray(big_phi, dtype=complex)
+    n1, n2, k1, k2 = t1.rep_dim, t2.rep_dim, t1.algebra.k, t2.algebra.k
+    if big_phi.shape != (n2, n1) or n1 != n2:
+        return False
+    if not phi.source.k == k1 == phi.target.k == k2:
+        return False
+    real = t1.real_structure is not None or t2.real_structure is not None
+    m = SfMorphism(t1, t2, phi, big_phi, real=real,
+                   even=t1.is_even or t2.is_even, isometric=True)
+    return check_sf_morphism(t1, t2, m, tol).passed
+
+
 def identity_metric_morphism(t: SpectralTriple) -> MetricMorphism:
     return MetricMorphism(t, t, identity_hom(t.algebra))
 
@@ -164,10 +186,8 @@ def compose(m1, m2):
     if isinstance(m1, MetricMorphism) and isinstance(m2, MetricMorphism):
         if not _triples_compatible(m1.target, m2.source):
             raise EndpointMismatch("metric morphisms are not composable")
-        return MetricMorphism(
-            m1.source, m2.target, compose_homs(m1.hom, m2.hom),
-            max(m1.tolerance, m2.tolerance),
-        )
+        return MetricMorphism(m1.source, m2.target,
+                              compose_homs(m1.hom, m2.hom))
     if isinstance(m1, SfMorphism) and isinstance(m2, SfMorphism):
         if not _triples_compatible(m1.target, m2.source):
             raise EndpointMismatch("sf morphisms are not composable")
@@ -199,9 +219,8 @@ class ContractionReport:
 
 
 def check_pullback_contraction(t1: SpectralTriple, t2: SpectralTriple,
-                               m: SfMorphism, n_mixed: int = 8,
-                               seed: int = 0,
-                               tol: float = DISTANCE_TOL) -> ContractionReport:
+                               m: SfMorphism,
+                               seed: int = 0) -> ContractionReport:
     """For a coisometric morphism, state pullback can only shrink distances:
     d_1(w1 . phi, w2 . phi) <= d_2(w1, w2) for all states of A2."""
     if not m.isometric:
@@ -216,7 +235,7 @@ def check_pullback_contraction(t1: SpectralTriple, t2: SpectralTriple,
         for i in range(k2) for j in range(i + 1, k2)
     ]
     rng = np.random.default_rng(seed)
-    for _ in range(n_mixed):
+    for _ in range(MIXED_PAIRS):
         w1 = rng.dirichlet(np.ones(k2))
         w2 = rng.dirichlet(np.ones(k2))
         pairs.append((State(t2.algebra, w1), State(t2.algebra, w2)))
@@ -274,7 +293,7 @@ def crv_pullback(f: GeometryMap) -> MetricMorphism:
             a, b = src_d[p, q], tgt_d[vm[p], vm[q]]
             if math.isinf(a) != math.isinf(b):
                 raise NotIsometric(f"pair ({p},{q}) changes connectivity")
-            if not math.isinf(a) and abs(a - b) > 1e-9:
+            if not math.isinf(a) and abs(a - b) > ATOL:
                 raise NotIsometric(f"pair ({p},{q}) distance distorted")
 
     image = set(vm)

@@ -18,9 +18,22 @@ from . import category, geometry, metric, triple as triple_mod
 from .errors import AlgebraMismatch, ToolkitError
 
 
+def _load_json(path: str):
+    """Parse a JSON file.  An unreadable file is an I/O error; malformed JSON
+    is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise _IOFailure(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise _UsageFailure(f"malformed JSON in {path}: {exc}") from exc
+
+
 def _decode(path: str, what: str, decode):
-    """Read a JSON file and decode it.  An unreadable file is an I/O error;
-    malformed JSON and a failed decode are usage errors.
+    """Read a JSON file and decode it.  Every error the decoder raises, a
+    toolkit error included, means the file is not a valid input: a usage
+    error.
 
     A triple file is an acyclic tree of up to ~10^4 lists, which reference
     counting frees once it is decoded.  The cyclic collector is paused until
@@ -30,13 +43,8 @@ def _decode(path: str, what: str, decode):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as fh:
-            return decode(json.load(fh))
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageFailure(f"malformed JSON in {path}: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
+        return decode(_load_json(path))
+    except (KeyError, ValueError, TypeError, ToolkitError) as exc:
         raise _UsageFailure(f"malformed {what} in {path}: {exc!r}") from exc
     finally:
         if enabled:
@@ -220,45 +228,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", default=None)
-
     p = sub.add_parser("validate", help="axiom checks, real structure, KO signs")
     p.add_argument("triple")
-    common(p)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("distance", help="distance matrix or a single pair")
     p.add_argument("triple")
     p.add_argument("--states", nargs=2, type=int, metavar=("I", "J"))
     p.add_argument("--complex-search", action="store_true")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("morphism", help="check a morphism between two triples")
     p.add_argument("triple1")
     p.add_argument("triple2")
     p.add_argument("morphism")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_morphism)
 
     p = sub.add_parser("decompose", help="split into irreducible components")
     p.add_argument("triple")
-    common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("example", help="emit a built-in geometry and triple")
     p.add_argument("name")
     p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=1.0)
-    common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("compare", help="spectral vs geodesic distance report")
     p.add_argument("geometry")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
     return parser
 

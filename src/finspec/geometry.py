@@ -63,10 +63,15 @@ class GeometryMap:
 
 
 def geodesic_matrix(g: DiscreteGeometry) -> np.ndarray:
-    """All-pairs shortest-path lengths; inf across components."""
+    """All-pairs shortest-path lengths; inf across components.  Of parallel
+    edges the shortest counts (a sparse matrix would add their lengths)."""
     k = g.k
-    rows, cols, data = [], [], []
+    shortest = {}
     for i, j, l in g.edges:
+        key = (min(i, j), max(i, j))
+        shortest[key] = min(l, shortest.get(key, math.inf))
+    rows, cols, data = [], [], []
+    for (i, j), l in shortest.items():
         rows += [i, j]
         cols += [j, i]
         data += [l, l]

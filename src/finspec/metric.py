@@ -22,9 +22,12 @@ from scipy.optimize import linprog, minimize
 
 from .algebra import AlgebraElement, State, same_algebra
 from .errors import AlgebraMismatch, TooManyCharacters
+from .numerics import ATOL, EQUAL_STATES_TOL, INFINITE_THRESHOLD
 from .triple import SpectralTriple
 
-INFINITE_THRESHOLD = 1e-10
+KELLEY_MAX_CUTS = 200     # LP points before Kelley stops
+KELLEY_REL_GAP = 1e-10    # gap, relative to the best value, at which it stops
+GRID_CHUNK = 65536        # grid points the oracle screens per batch
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,7 @@ def _minimize_slice(k_mats: np.ndarray, c: np.ndarray, masks: np.ndarray):
     return _cutting_plane_refine(k_mats, x0, basis, best_x, best_f)
 
 
-def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f,
-                          max_cuts: int = 200, rel_gap: float = 1e-10):
+def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
     """Kelley refinement of min ||M(x)|| over the slice x = x0 + basis z.
 
     Every visited point contributes the cut Re(u* M(x) v) <= s through its
@@ -188,9 +190,9 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f,
     rows, rhs = [], []
     lower = 0.0
 
-    def add_cuts(point):
-        m = _embedded(k_mats, point)
-        u, s, vh = np.linalg.svd(m)
+    def add_cuts(point) -> float:
+        """Add the cuts of point's top singular pairs; return its value."""
+        u, s, vh = np.linalg.svd(_embedded(k_mats, point))
         for a in range(len(s)):
             if s[a] < s[0] - 1e-8 * max(s[0], 1.0):
                 break
@@ -200,21 +202,21 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f,
             row[-1] = -1.0
             rows.append(row)
             rhs.append(-float(w @ x0))
+        return float(s[0])
 
     add_cuts(best_x)
-    for _ in range(max_cuts):
+    for _ in range(KELLEY_MAX_CUTS):
         res = linprog(cost, A_ub=np.asarray(rows), b_ub=np.asarray(rhs),
                       bounds=bounds, method="highs")
         if not res.success:
             break
         lower = max(lower, float(res.x[-1]))
         x = x0 + basis @ res.x[:dim]
-        f, _ = _spectral_value_subgrad(k_mats, x)
+        f = add_cuts(x)
         if f < best_f:
             best_f, best_x = f, x
-        if best_f - lower <= rel_gap * max(best_f, 1e-12):
+        if best_f - lower <= KELLEY_REL_GAP * max(best_f, 1e-12):
             break
-        add_cuts(x)
     return best_x, best_f, max(best_f - lower, 0.0)
 
 
@@ -235,7 +237,7 @@ def connes_distance(t: SpectralTriple, w1: State, w2: State,
     _check_states(t, w1, w2)
     k_mats = _commutator_generators(t)
     c = np.asarray(w1.weights) - np.asarray(w2.weights)
-    if np.max(np.abs(c)) <= 1e-14:
+    if np.max(np.abs(c)) <= EQUAL_STATES_TOL:
         return DistanceValue(0.0, None, 0.0)
 
     masks = _component_masks(t)
@@ -245,7 +247,7 @@ def connes_distance(t: SpectralTriple, w1: State, w2: State,
         return DistanceValue(math.inf, None, 0.0)
 
     x, f, gap = _minimize_slice(k_mats, c, masks)
-    if f <= 1e-9:
+    if f <= ATOL:
         return DistanceValue(math.inf, None, 0.0)
     cert = AlgebraElement(t.algebra, (x / f).astype(complex))
     return DistanceValue(1.0 / f, cert, gap)
@@ -265,8 +267,7 @@ def distance_matrix(t: SpectralTriple, seed: int = 0) -> DistanceMatrix:
 
 def brute_force_distance(t: SpectralTriple, w1: State, w2: State,
                          box: float, grid: int,
-                         complex_phases: int = 0,
-                         chunk: int = 65536) -> float:
+                         complex_phases: int = 0) -> float:
     """Grid-search lower bound for the distance.
 
     Maximizes |c . x| over x on a uniform grid in [-box, box]^k intersected
@@ -282,7 +283,7 @@ def brute_force_distance(t: SpectralTriple, w1: State, w2: State,
     if k > 4:
         raise TooManyCharacters("brute force is limited to k <= 4")
     c = np.asarray(w1.weights) - np.asarray(w2.weights)
-    if np.max(np.abs(c)) <= 1e-14:
+    if np.max(np.abs(c)) <= EQUAL_STATES_TOL:
         return 0.0
 
     k_mats = _commutator_generators(t)
@@ -297,16 +298,16 @@ def brute_force_distance(t: SpectralTriple, w1: State, w2: State,
     # sweep can skip points whose objective cannot improve on it.
     stride = max(1, len(axis) // 24)
     coarse = axis[::stride]
-    best = max(best, _grid_scan(k_mats, c, coarse, k, best, chunk))
-    best = max(best, _grid_scan(k_mats, c, axis, k, best, chunk))
+    best = max(best, _grid_scan(k_mats, c, coarse, k, best))
+    best = max(best, _grid_scan(k_mats, c, axis, k, best))
     return best
 
 
-def _grid_scan(k_mats, c, axis, k, best, chunk):
+def _grid_scan(k_mats, c, axis, k, best):
     n_axis = len(axis)
     total = n_axis ** k
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, GRID_CHUNK):
+        idx = np.arange(start, min(start + GRID_CHUNK, total))
         coords = np.empty((len(idx), k), dtype=axis.dtype)
         rem = idx
         for d in range(k - 1, -1, -1):

@@ -13,11 +13,15 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NotCommuting, NotHermitian
 
-# Relative threshold below which eigenvalues are treated as degenerate when
-# splitting joint eigenspaces.
-DEGENERACY_THRESHOLD = 1e-7
-
-ATOL = 1e-9
+# Every tolerance that decides a pass/fail flag or an answer class (a distance
+# of 0 or infinity); the solver's stopping constants are in metric.py.
+ATOL = 1e-9                  # algebraic identities, axioms, coupling, zero norms
+MORPHISM_TOL = 1e-8          # intertwining relations, commuting families
+DEGENERACY_THRESHOLD = 1e-7  # relative gap between distinct joint eigenvalues
+DISTANCE_TOL = 1e-6          # pullback isometry and contraction of distances
+INFINITE_THRESHOLD = 1e-10   # component weight imbalance of an infinite distance
+WEIGHT_TOL = 1e-12           # state weights: nonnegative, summing to 1, pure
+EQUAL_STATES_TOL = 1e-14     # weight difference of equal states (distance 0)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -100,7 +104,7 @@ def _split_indices(values: np.ndarray, threshold: float):
     return groups
 
 
-def simultaneous_diagonalize(ms, tol: float = 1e-8,
+def simultaneous_diagonalize(ms, tol: float = MORPHISM_TOL,
                              degeneracy: float = DEGENERACY_THRESHOLD):
     """Joint diagonalization of pairwise commuting normal matrices.
 
@@ -168,7 +172,7 @@ def matrix_to_json(m) -> dict:
     for a square matrix, {"rows": r, "cols": c, "entries": ...} otherwise."""
     m = np.asarray(m, dtype=complex)
     rows, cols = m.shape
-    entries = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    entries = np.stack([m.real, m.imag], -1).tolist()
     if rows == cols:
         return {"dim": rows, "entries": entries}
     return {"rows": rows, "cols": cols, "entries": entries}
@@ -179,13 +183,14 @@ def matrix_from_json(obj) -> np.ndarray:
         rows = cols = int(obj["dim"])
     else:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows or any(len(row) != cols for row in entries):
-        raise ValueError("entries array does not match declared dimension")
-    m = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(entries):
-        for j, (re, im) in enumerate(row):
-            m[i, j] = complex(re, im)
+    # A ragged array raises ValueError here; strings and None give a
+    # non-numeric dtype.
+    pairs = np.asarray(obj["entries"])
+    if pairs.shape != (rows, cols, 2) or pairs.dtype.kind not in "biuf":
+        raise ValueError("entries must be a rows x cols array of [re, im] numbers")
+    # The (re, im) pairs of float64 are complex128 in memory: the view keeps
+    # every bit, including the sign of a zero imaginary part.
+    m = pairs.astype(float).view(complex)[..., 0]
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m

@@ -2,8 +2,8 @@
 
 Covers validation of the axioms (grading, real structure, first-order
 condition), KO-dimension signs, the differential-form span, Hochschild
-chains and orientability, direct sums, irreducible decomposition, and
-unitary-equivalence verification.
+chains and orientability, direct sums and irreducible decomposition.
+Unitary equivalence is checked in category.py, as an invertible sf morphism.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .errors import (AlgebraMismatch, DegreeZero, NoRealStructure,
                      NotHermitian, ParityMismatch, RealStructureMismatch)
 from .numerics import anticommutator, commutator, operator_norm
 
-ALGEBRAIC_TOL = 1e-9
-EQUIVALENCE_TOL = 1e-8
+ALGEBRAIC_TOL = numerics.ATOL
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,6 @@ class SpectralTriple:
         d = numerics.as_matrix(self.dirac)
         d.setflags(write=False)
         object.__setattr__(self, "dirac", d)
-        if d.shape[0] != self.algebra.rep_dim:
-            raise AlgebraMismatch("Dirac matrix does not act on the rep space")
         if self.parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
         if self.parity == "even" and self.grading is None:
@@ -75,6 +72,11 @@ class SpectralTriple:
             g = numerics.as_matrix(self.grading)
             g.setflags(write=False)
             object.__setattr__(self, "grading", g)
+        j = self.real_structure
+        for name, m in (("Dirac matrix", d), ("grading", self.grading),
+                        ("unitary part of J", j.unitary_part if j else None)):
+            if m is not None and m.shape[0] != self.algebra.rep_dim:
+                raise AlgebraMismatch(f"{name} does not act on the rep space")
 
     @property
     def rep_dim(self) -> int:
@@ -115,7 +117,7 @@ class SpectralTriple:
 
     @cached_property
     def components(self) -> tuple:
-        """coupling_components at the default tolerance, as tuples."""
+        """coupling_components, as tuples."""
         return tuple(tuple(comp) for comp in coupling_components(self))
 
 
@@ -164,7 +166,7 @@ def validate_triple(t: SpectralTriple, tol: float = ALGEBRAIC_TOL) -> Validation
                     operator_norm(d - d.conj().T))
     )
 
-    proj_resid = max(r for _, r in t.algebra.projection_residuals(tol))
+    proj_resid = max(r for _, r in t.algebra.projection_residuals())
     checks.append(CheckResult("representation_projections", proj_resid <= tol,
                               proj_resid))
 
@@ -306,7 +308,7 @@ def ko_dimension(signs) -> set:
     return {n for n, col in KO_TABLE.items() if col == (j_squared, jd, jgamma)}
 
 
-def omega_basis(t: SpectralTriple, max_degree: int, tol: float = 1e-9):
+def omega_basis(t: SpectralTriple, max_degree: int, tol: float = ALGEBRAIC_TOL):
     """Linearly independent spanning set of
     { pi(a0)[D,pi(a1)]...[D,pi(an)] : n <= max_degree } over basis elements."""
     if max_degree < 0 or max_degree > 4:
@@ -468,11 +470,11 @@ def check_orientability(t: SpectralTriple, c: HochschildChain,
     anti_residual = float(np.linalg.norm(tensor - _antisymmetrize_last(tensor, n)))
     grading_residual = operator_norm(represent_chain(t, c) - t.grading_or_identity())
     return OrientabilityReport(
-        is_cycle=cycle_residual <= 1e-9,
+        is_cycle=cycle_residual <= ALGEBRAIC_TOL,
         cycle_residual=cycle_residual,
-        antisymmetric_last_n=anti_residual <= 1e-9,
+        antisymmetric_last_n=anti_residual <= ALGEBRAIC_TOL,
         antisymmetry_residual=anti_residual,
-        matches_grading=grading_residual <= 1e-8,
+        matches_grading=grading_residual <= numerics.MORPHISM_TOL,
         grading_residual=grading_residual,
     )
 
@@ -533,13 +535,14 @@ def conjugate_triple(t: SpectralTriple, w: np.ndarray) -> SpectralTriple:
     return SpectralTriple(alg, w @ t.dirac @ w.conj().T, grading, real, t.parity)
 
 
-def coupling_components(t: SpectralTriple, tol: float = ALGEBRAIC_TOL):
+def coupling_components(t: SpectralTriple):
     """Connected components of the character-coupling graph, as sorted lists
     ordered by smallest member.
 
     Characters i < j are coupled when D, the grading, or the unitary part U
     of J, read in the algebra's character basis V (U as V* U conj(V)), has an
-    (i, j) block whose Frobenius norm exceeds tol times the operator's scale.
+    (i, j) block whose Frobenius norm exceeds ALGEBRAIC_TOL times the
+    operator's scale.
     """
     v, owner = t.algebra.character_basis
     onehot = (owner[:, None] == np.arange(t.algebra.k)).astype(float)
@@ -550,8 +553,8 @@ def coupling_components(t: SpectralTriple, tol: float = ALGEBRAIC_TOL):
     coupled = np.zeros((t.algebra.k, t.algebra.k), dtype=bool)
     for m, scale in ops:
         # Squared block norms summed entrywise: a trace identity would cancel
-        # to ~1e-16, above tol**2.
-        coupled |= onehot.T @ (np.abs(m) ** 2) @ onehot > (tol * scale) ** 2
+        # to ~1e-16, above ALGEBRAIC_TOL**2.
+        coupled |= onehot.T @ (np.abs(m) ** 2) @ onehot > (ALGEBRAIC_TOL * scale) ** 2
     return numerics.connected_parts(np.triu(coupled, 1))
 
 
@@ -579,59 +582,17 @@ def _compress(t: SpectralTriple, chars):
     return SpectralTriple(alg, dirac, grading, real, t.parity), v
 
 
-def decompose(t: SpectralTriple, tol: float = ALGEBRAIC_TOL):
+def decompose(t: SpectralTriple):
     """Irreducible components, one per coupling-graph component."""
-    return [_compress(t, chars)[0] for chars in coupling_components(t, tol)]
+    return [_compress(t, chars)[0] for chars in coupling_components(t)]
 
 
-def decompose_detailed(t: SpectralTriple, tol: float = ALGEBRAIC_TOL):
+def decompose_detailed(t: SpectralTriple):
     """Components plus the data needed to reassemble: the character partition
     and the isometries embedding each component back into t's space."""
-    parts = coupling_components(t, tol)
+    parts = coupling_components(t)
     compressed = [_compress(t, chars) for chars in parts]
     return ([c for c, _ in compressed], parts, [v for _, v in compressed])
-
-
-def check_unitary_equivalence(t1: SpectralTriple, t2: SpectralTriple,
-                              witness, tol: float = EQUIVALENCE_TOL) -> bool:
-    """Verify a claimed equivalence witness (phi: A1 -> A2 bijective,
-    Phi unitary) intertwining representations, Dirac, grading and J."""
-    phi, big_phi = witness
-    big_phi = numerics.as_matrix(big_phi)
-    if big_phi.shape != (t2.rep_dim, t1.rep_dim):
-        return False
-    if t1.rep_dim != t2.rep_dim or not numerics.is_unitary(big_phi, tol):
-        return False
-    if phi.source.k != t1.algebra.k or phi.target.k != t2.algebra.k:
-        return False
-    if len(set(phi.character_map)) != phi.source.k or phi.source.k != phi.target.k:
-        return False
-
-    for i in range(t1.algebra.k):
-        x = t1.algebra.basis_element(i)
-        lhs = phi.apply(x).represent() @ big_phi
-        rhs = big_phi @ x.represent()
-        if operator_norm(lhs - rhs) > tol:
-            return False
-
-    scale = max(1.0, operator_norm(t1.dirac))
-    if operator_norm(big_phi @ t1.dirac - t2.dirac @ big_phi) > tol * scale:
-        return False
-
-    if (t1.grading is None) != (t2.grading is None):
-        return False
-    if t1.grading is not None:
-        if operator_norm(big_phi @ t1.grading - t2.grading @ big_phi) > tol:
-            return False
-
-    if (t1.real_structure is None) != (t2.real_structure is None):
-        return False
-    if t1.real_structure is not None:
-        u1 = t1.real_structure.unitary_part
-        u2 = t2.real_structure.unitary_part
-        if operator_norm(big_phi @ u1 - u2 @ np.conj(big_phi)) > tol:
-            return False
-    return True
 
 
 # --- reference triples for the eight KO sign columns -----------------------

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 import finspec as fs
-from finspec import category
+from finspec import category, numerics
 from finspec.algebra import AlgebraHom
 from finspec.errors import (EndpointMismatch, KindMismatch, NotIsometric,
                             NotOntoComponents)
 from finspec.geometry import GeometryMap, disjoint_union, graph_triple
+from finspec.numerics import operator_norm
+from finspec.triple import SpectralTriple
 
-from conftest import random_disconnected_geometry
+from conftest import (builtin_gallery, haar_unitary, identity_witness,
+                      random_disconnected_geometry, reassembly_witness,
+                      scrambled_sum)
 
 
 def split_geometry(rng=None, k1=2, k2=3):
@@ -180,3 +184,118 @@ def test_reports_share_one_class():
     assert list(doc) == ["pass", "checks"]
     assert doc["checks"][0] == {"name": "algebra_intertwining", "pass": True,
                                 "residual": report.checks[0].residual}
+
+
+def reference_unitary_equivalence(t1, t2, witness, tol=1e-8):
+    """The unitary-equivalence check as a separate copy of every
+    intertwining relation, kept as the reference for the sf-morphism form."""
+    phi, big_phi = witness
+    big_phi = numerics.as_matrix(big_phi)
+    if big_phi.shape != (t2.rep_dim, t1.rep_dim):
+        return False
+    if t1.rep_dim != t2.rep_dim or not numerics.is_unitary(big_phi, tol):
+        return False
+    if phi.source.k != t1.algebra.k or phi.target.k != t2.algebra.k:
+        return False
+    if len(set(phi.character_map)) != phi.source.k or phi.source.k != phi.target.k:
+        return False
+
+    for i in range(t1.algebra.k):
+        x = t1.algebra.basis_element(i)
+        lhs = phi.apply(x).represent() @ big_phi
+        rhs = big_phi @ x.represent()
+        if operator_norm(lhs - rhs) > tol:
+            return False
+
+    scale = max(1.0, operator_norm(t1.dirac))
+    if operator_norm(big_phi @ t1.dirac - t2.dirac @ big_phi) > tol * scale:
+        return False
+
+    if (t1.grading is None) != (t2.grading is None):
+        return False
+    if t1.grading is not None:
+        if operator_norm(big_phi @ t1.grading - t2.grading @ big_phi) > tol:
+            return False
+
+    if (t1.real_structure is None) != (t2.real_structure is None):
+        return False
+    if t1.real_structure is not None:
+        u1 = t1.real_structure.unitary_part
+        u2 = t2.real_structure.unitary_part
+        if operator_norm(big_phi @ u1 - u2 @ np.conj(big_phi)) > tol:
+            return False
+    return True
+
+
+def _equivalence_cases():
+    """(label, t1, t2, witness): the witnesses of acceptance criteria 5 and
+    8, conjugated KO triples, and broken variants of an interval witness."""
+    cases = []
+    rng = np.random.default_rng(55)  # criterion 5
+    gallery = builtin_gallery()
+    for trial in range(20):
+        _, _, t = gallery[trial % len(gallery)]
+        w = haar_unitary(rng, t.rep_dim)
+        t2 = fs.conjugate_triple(t, w)
+        cases.append((f"c5_{trial}", t, t2, identity_witness(t, t2, w)))
+    rng = np.random.default_rng(88)  # criterion 8
+    pool = [t for _, _, t in builtin_gallery() if t.parity == "even"]
+    for trial in range(20):
+        picks = [pool[int(i)] for i in rng.integers(0, len(pool),
+                                                    size=int(rng.integers(2, 4)))]
+        scrambled, _ = scrambled_sum(rng, picks)
+        total, _, _, witness = reassembly_witness(scrambled)
+        cases.append((f"c8_{trial}", total, scrambled, witness))
+    rng = np.random.default_rng(5)
+    for n in range(8):
+        t = fs.standard_ko_triple(n)
+        w = haar_unitary(rng, t.rep_dim)
+        t2 = fs.conjugate_triple(t, w)
+        cases.append((f"ko_{n}", t, t2, identity_witness(t, t2, w)))
+
+    t = fs.lattice_interval(3, 1.5)[1]
+    w = haar_unitary(rng, t.rep_dim)
+    t2 = fs.conjugate_triple(t, w)
+    hom, _ = identity_witness(t, t2, w)
+    back, _ = identity_witness(t2, t, w.conj().T)
+    odd = SpectralTriple(t2.algebra, t2.dirac, None, t2.real_structure, "odd")
+    no_j = SpectralTriple(t2.algebra, t2.dirac, t2.grading, None, "even")
+    flipped = SpectralTriple(t2.algebra, t2.dirac, -t2.grading,
+                             t2.real_structure, "even")
+    collapse = AlgebraHom(t.algebra, t2.algebra, (0, 0, 1))
+    n = t.rep_dim
+    cases += [
+        ("interval", t, t2, (hom, w)),
+        ("scaled", t, t2, (hom, w * (1 + 1e-7))),
+        ("wrong_phi", t, t2, (hom, np.eye(n))),
+        ("grading_one_side", t, odd, (hom, w)),
+        ("grading_other_side", odd, t, (back, w.conj().T)),
+        ("j_one_side", t, no_j, (hom, w)),
+        ("j_other_side", no_j, t, (back, w.conj().T)),
+        ("wrong_grading", t, flipped, (hom, w)),
+        ("not_bijective", t, t2, (collapse, w)),
+        ("wrong_shape", t, t2, (hom, np.eye(n + 1))),
+    ]
+    return cases
+
+
+def test_unitary_equivalence_agrees_with_reference():
+    verdicts = {}
+    for label, t1, t2, witness in _equivalence_cases():
+        expected = reference_unitary_equivalence(t1, t2, witness)
+        assert category.check_unitary_equivalence(t1, t2, witness) == expected, label
+        verdicts[label] = expected
+    assert all(verdicts[f"c5_{i}"] and verdicts[f"c8_{i}"] for i in range(20))
+    assert all(verdicts[f"ko_{n}"] for n in range(8)) and verdicts["interval"]
+    assert not any(verdicts[label] for label in (
+        "scaled", "wrong_phi", "grading_one_side", "grading_other_side",
+        "j_one_side", "j_other_side", "wrong_grading", "not_bijective",
+        "wrong_shape"))
+
+
+def test_unitary_equivalence_rejects_a_rectangular_phi():
+    """The reference raises ValueError on a non-square Phi; it is no
+    equivalence."""
+    t = fs.lattice_interval(3, 1.5)[1]
+    hom, _ = identity_witness(t, t, np.eye(t.rep_dim))
+    assert not fs.check_unitary_equivalence(t, t, (hom, np.eye(t.rep_dim)[:-1]))

@@ -7,6 +7,7 @@ import pytest
 import finspec as fs
 from finspec import category, cli
 from finspec.geometry import disjoint_union, geometry_to_json, graph_triple
+from finspec.numerics import matrix_to_json
 from finspec.triple import (standard_ko_triple, triple_from_json,
                             triple_to_json)
 
@@ -194,8 +195,22 @@ def _missing_dirac(doc):
     del doc["dirac"]
 
 
+def _wrong_size_dirac(doc):
+    doc["dirac"] = matrix_to_json(np.zeros((3, 3)))
+
+
+def _wrong_size_grading(doc):
+    doc["grading"] = matrix_to_json(np.diag([1.0, -1.0, 1.0]))
+
+
+def _wrong_size_real_part(doc):
+    doc["real_unitary_part"] = matrix_to_json(np.eye(3))
+
+
 @pytest.mark.parametrize("corrupt", [_nan_entry, _inf_entry, _short_row,
-                                     _missing_dirac])
+                                     _missing_dirac, _wrong_size_dirac,
+                                     _wrong_size_grading,
+                                     _wrong_size_real_part])
 def test_malformed_triple_is_usage_error(tmp_path, capsys, corrupt):
     doc = triple_to_json(fs.two_point_geometry(0.5)[1])
     corrupt(doc)
@@ -272,6 +287,69 @@ def test_malformed_morphism_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "malformed morphism" in err
+
+
+def _phi_wrong_shape(doc):
+    doc["phi_matrix"] = matrix_to_json(np.eye(3))
+
+
+def _character_out_of_range(doc):
+    doc["character_map"][0] = 99
+
+
+@pytest.mark.parametrize("corrupt", [_phi_wrong_shape, _character_out_of_range])
+def test_invalid_morphism_is_usage_error(tmp_path, capsys, corrupt):
+    t = graph_triple(disjoint_union(fs.lattice_circle(3, 1.0)[0],
+                                    fs.lattice_interval(2, 1.0)[0]))
+    sub, morph = category.restriction_morphism(t, [0, 1, 2])
+    doc = category.morphism_to_json(morph)
+    corrupt(doc)
+    code, out, err = run(capsys, "morphism",
+                         write_json(tmp_path / "src.json", triple_to_json(t)),
+                         write_json(tmp_path / "sub.json", triple_to_json(sub)),
+                         write_json(tmp_path / "m.json", doc))
+    assert code == 2
+    assert out == ""
+    assert "malformed morphism" in err
+
+
+def test_nonpositive_edge_length_is_usage_error(tmp_path, capsys):
+    doc = geometry_to_json(fs.lattice_circle(4, 1.0)[0])
+    doc["edges"][1][2] = -1.0
+    code, out, err = run(capsys, "compare", write_json(tmp_path / "g.json", doc))
+    assert code == 2
+    assert out == ""
+    assert "malformed geometry" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "t.json", "--seed", "1"],
+    ["decompose", "t.json", "--seed", "1"],
+    ["example", "two_point", "--seed", "1"],
+    ["distance", "t.json", "--tol", "1e-6"],
+    ["decompose", "t.json", "--tol", "1e-6"],
+    ["example", "two_point", "--tol", "1e-6"],
+    ["compare", "g.json", "--tol", "1e-6"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_files_are_parsed_by_load_json(ko0_path, capsys, monkeypatch):
+    """The benchmark's trace times file parsing through cli._load_json."""
+    parsed = []
+    original = cli._load_json
+
+    def counting(path):
+        parsed.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cli, "_load_json", counting)
+    assert run(capsys, "validate", ko0_path)[0] == 0
+    assert parsed == [ko0_path]
 
 
 def test_malformed_geometry_is_usage_error(tmp_path, capsys):

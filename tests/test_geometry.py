@@ -48,6 +48,16 @@ def test_geodesic_infinite_between_components():
     assert geo[0, 1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("second", [(0, 1, 2.0), (1, 0, 2.0), (1, 0, 0.5)])
+def test_geodesic_takes_the_shortest_parallel_edge(second):
+    g = geometry.DiscreteGeometry(("a", "b", "c"), ((0, 1, 1.0), second,
+                                                    (1, 2, 1.0)))
+    geo = fs.geodesic_matrix(g)
+    shortest = min(1.0, second[2])
+    assert geo[0, 1] == geo[1, 0] == shortest
+    assert geo[0, 2] == shortest + 1.0
+
+
 def test_graph_components():
     g = random_disconnected_geometry(np.random.default_rng(3), 3, 2)
     comps = geometry.graph_components(g)

@@ -271,3 +271,38 @@ def test_per_triple_setup_runs_once(monkeypatch):
     fs.distance_matrix(t)
     assert len(calls) <= 1
     assert metric._commutator_generators(t) is metric._commutator_generators(t)
+
+
+def test_kelley_takes_one_svd_per_point(monkeypatch):
+    """Each LP point's value and cuts come from one SVD: the starting point
+    and every LP solution cost one SVD each."""
+    g = random_connected_geometry(np.random.default_rng(4), 4, extra_edges=2)
+    t = graph_triple(g)
+    k_mats = metric._commutator_generators(t)
+    c = t.algebra.pure_state(0).weights - t.algebra.pure_state(2).weights
+    masks = metric._component_masks(t)
+    a_rows = np.vstack([c[None, :], masks])
+    rhs = np.zeros(a_rows.shape[0])
+    rhs[0] = 1.0
+    x0 = np.linalg.lstsq(a_rows, rhs, rcond=None)[0]
+    basis = metric.null_space(a_rows)
+    best_f = metric._spectral_value_subgrad(k_mats, x0)[0]
+
+    svds, points = [], []
+    svd, linprog = np.linalg.svd, metric.linprog
+
+    def counting_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    def counting_linprog(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        points.append(res.success)
+        return res
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(metric, "linprog", counting_linprog)
+    _, f, gap = metric._cutting_plane_refine(k_mats, x0, basis, x0, best_f)
+    assert sum(points) >= 2
+    assert len(svds) == 1 + sum(points)
+    assert f <= best_f and gap >= 0.0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,3 +132,75 @@ def test_operator_norm_scaling_property(n, seed):
     base = numerics.operator_norm(m)
     assert numerics.operator_norm(2.5 * m) == pytest.approx(2.5 * base, rel=1e-10)
     assert numerics.operator_norm(m.conj().T) == pytest.approx(base, rel=1e-10)
+
+
+def reference_matrix_to_json(m):
+    """The codec as per-entry loops, kept as the reference for the
+    vectorized one."""
+    m = np.asarray(m, dtype=complex)
+    rows, cols = m.shape
+    entries = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    if rows == cols:
+        return {"dim": rows, "entries": entries}
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+def reference_matrix_from_json(obj):
+    if "dim" in obj:
+        rows = cols = int(obj["dim"])
+    else:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+    entries = obj["entries"]
+    if len(entries) != rows or any(len(row) != cols for row in entries):
+        raise ValueError("entries array does not match declared dimension")
+    m = np.empty((rows, cols), dtype=complex)
+    for i, row in enumerate(entries):
+        for j, (re, im) in enumerate(row):
+            m[i, j] = complex(re, im)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def test_matrix_codec_matches_reference_loops(rng):
+    signed_zeros = np.array([[0.0, -0.0], [complex(-0.0, -0.0), complex(1, -0.0)]])
+    for m in (random_complex(rng, (4, 4)), random_complex(rng, (2, 5)),
+              rng.standard_normal((3, 3)) * 1e-300, signed_zeros,
+              np.eye(6, dtype=complex)):
+        doc = numerics.matrix_to_json(m)
+        text = json.dumps(doc)
+        assert text == json.dumps(reference_matrix_to_json(m))
+        back = numerics.matrix_from_json(json.loads(text))
+        expected = reference_matrix_from_json(json.loads(text))
+        assert back.dtype == expected.dtype and back.shape == expected.shape
+        assert back.tobytes() == expected.tobytes()  # zero signs included
+    ints = {"dim": 1, "entries": [[[2, True]]]}
+    assert numerics.matrix_from_json(ints) == reference_matrix_from_json(ints)
+
+
+def _bad_entries():
+    good = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    cases = []
+    for i, j, entry in ((0, 1, [1.0]), (0, 1, [1.0, 2.0, 3.0]), (1, 0, "ab"),
+                        (1, 1, ["1.0", 0.0]), (1, 1, [1.0, "0"]),
+                        (0, 0, [None, 0.0]), (0, 0, None), (0, 0, [[1.0], 0.0]),
+                        (0, 0, [float("nan"), 0.0]), (1, 0, [0.0, float("inf")]),
+                        (0, 0, [10 ** 400, 0])):
+        entries = [[list(e) for e in row] for row in good]
+        entries[i][j] = entry
+        cases.append({"dim": 2, "entries": entries})
+    cases.append({"dim": 2, "entries": [good[0], good[1][:1]]})  # ragged
+    cases.append({"dim": 2, "entries": good[:1]})
+    cases.append({"dim": 3, "entries": good})
+    cases.append({"rows": 1, "cols": 4, "entries": good})
+    cases.append({"dim": 2, "entries": "abcd"})
+    cases.append({"dim": 2, "entries": 7})
+    return cases
+
+
+@pytest.mark.parametrize("doc", _bad_entries())
+def test_matrix_from_json_rejects_what_the_loops_reject(doc):
+    with pytest.raises((ValueError, TypeError, OverflowError)):
+        reference_matrix_from_json(doc)
+    with pytest.raises(ValueError):
+        numerics.matrix_from_json(doc)

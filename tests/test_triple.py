@@ -4,7 +4,8 @@ import pytest
 import finspec as fs
 from finspec import numerics, triple as triple_mod
 from finspec.algebra import AlgebraHom, function_algebra
-from finspec.errors import DegreeZero, NoRealStructure, ParityMismatch
+from finspec.errors import (AlgebraMismatch, DegreeZero, NoRealStructure,
+                            ParityMismatch)
 from finspec.geometry import disjoint_union, graph_triple
 from finspec.triple import (HochschildChain, check_orientability,
                             hochschild_boundary, represent_chain)
@@ -175,6 +176,17 @@ def test_direct_sum_and_decompose():
     parts = fs.decompose(s)
     assert len(parts) == 2
     assert all(p.algebra.k == 2 for p in parts)
+
+
+@pytest.mark.parametrize("part", ["dirac", "grading", "real"])
+def test_triple_rejects_operators_of_the_wrong_size(part):
+    t = two_point()
+    ops = {"dirac": t.dirac, "grading": t.grading,
+           "real": t.real_structure.unitary_part}
+    ops[part] = np.eye(3, dtype=complex)
+    with pytest.raises(AlgebraMismatch, match="does not act on the rep space"):
+        fs.SpectralTriple(t.algebra, ops["dirac"], ops["grading"],
+                          triple_mod.AntiunitaryOperator(ops["real"]), "even")
 
 
 def test_direct_sum_parity_mismatch():
