@@ -267,9 +267,9 @@ def restriction_morphism(t: SpectralTriple, characters):
     for comp in t.components:
         if any(c in characters for c in comp):
             allowed.update(comp)
-    if allowed != set(characters):
+    if not characters or allowed != set(characters):
         raise NotOntoComponents(
-            "characters must form a union of coupling components"
+            "characters must form a non-empty union of coupling components"
         )
     sub, v = _compress(t, characters)
     hom = AlgebraHom(t.algebra, sub.algebra, tuple(characters))

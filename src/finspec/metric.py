@@ -13,12 +13,13 @@ optimization runs.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog, minimize, nnls
 
 from .algebra import AlgebraElement, State, same_algebra
 from .errors import AlgebraMismatch, TooManyCharacters
@@ -27,7 +28,19 @@ from .triple import SpectralTriple
 
 KELLEY_MAX_CUTS = 200     # LP points before Kelley stops
 KELLEY_REL_GAP = 1e-10    # gap, relative to the best value, at which it stops
+# HiGHS options for Kelley's LPs.  A cut added near the optimum is violated
+# by less than scipy's default feasibility tolerance (1e-7), so at that
+# tolerance the LP returns its previous point again; 1e-10 is the smallest
+# value HiGHS accepts.  An LP vertex that is only dual feasible to 1e-7 can
+# report an objective above the LP minimum, which would be no lower bound.
+# scipy checks every option on every call; switching presolve off, which
+# these small dense LPs do not need, pays for the two tolerances.
+KELLEY_LP_OPTIONS = {"presolve": False,
+                     "primal_feasibility_tolerance": 1e-10,
+                     "dual_feasibility_tolerance": 1e-10}
 GRID_CHUNK = 65536        # grid points the oracle screens per batch
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -103,10 +116,26 @@ def _singular_pair_grad(k_mats: np.ndarray, u: np.ndarray, v: np.ndarray):
     return np.real((k_mats @ v) @ np.conj(u))
 
 
-def _spectral_value_subgrad(k_mats: np.ndarray, x: np.ndarray):
+def _top_cuts(k_mats: np.ndarray, x: np.ndarray):
+    """||M(x)|| and the gradients g_a = Re(u_a* K v_a) of the top singular
+    pairs of M(x), one row each, from one SVD.  Each row gives the cut
+    g_a . y <= ||M(y)||, valid for every y, with equality at x."""
     u, s, vh = np.linalg.svd(_embedded(k_mats, x))
-    # The top right singular vector is the first row of vh, conjugated.
-    return float(s[0]), _singular_pair_grad(k_mats, u[:, 0], np.conj(vh[0]))
+    # The right singular vectors are the rows of vh, conjugated.
+    top = np.count_nonzero(s >= s[0] - 1e-8 * max(s[0], 1.0))
+    grads = [_singular_pair_grad(k_mats, u[:, a], np.conj(vh[a]))
+             for a in range(top)]
+    return float(s[0]), np.array(grads)
+
+
+def _spectral_value_subgrad(k_mats: np.ndarray, x: np.ndarray):
+    f, grads = _top_cuts(k_mats, x)
+    return f, grads[0]
+
+
+def _spectral_norm(k_mats: np.ndarray, x: np.ndarray) -> float:
+    """||M(x)|| alone, from the singular values."""
+    return float(np.linalg.svd(_embedded(k_mats, x), compute_uv=False)[0])
 
 
 def _smoothed_value_grad(k_mats: np.ndarray, x: np.ndarray, mu: float):
@@ -146,7 +175,7 @@ def _minimize_slice(k_mats: np.ndarray, c: np.ndarray, masks: np.ndarray):
     x0, *_ = np.linalg.lstsq(a_rows, rhs, rcond=None)
     basis = null_space(a_rows)
     best_x = x0
-    best_f, _ = _spectral_value_subgrad(k_mats, x0)
+    best_f = _spectral_norm(k_mats, x0)
     if not basis.size:
         return best_x, best_f, 0.0
 
@@ -161,7 +190,7 @@ def _minimize_slice(k_mats: np.ndarray, c: np.ndarray, masks: np.ndarray):
         )
         z = res.x
         x = x0 + basis @ z
-        f, _ = _spectral_value_subgrad(k_mats, x)
+        f = _spectral_norm(k_mats, x)
         if f < best_f:
             best_f, best_x = f, x
         if mu <= mu_floor:
@@ -171,11 +200,38 @@ def _minimize_slice(k_mats: np.ndarray, c: np.ndarray, masks: np.ndarray):
     return _cutting_plane_refine(k_mats, x0, basis, best_x, best_f)
 
 
+def _one_point_bound(h: np.ndarray, c: np.ndarray, radius: float) -> float:
+    """Lower bound on min f over the box |z| <= radius, from the cuts
+    f(z) >= c_a + h_a . z taken at one point.
+
+    For lam >= 0 with sum 1, W = sum_a lam_a u_a v_a* has nuclear norm at
+    most 1, so f(z) >= lam . c + (H lam) . z >= lam . c - |H lam|_1 radius.
+    The bound holds for every such lam; nnls picks one with H lam close to
+    0, which exists when the point is stationary, and then the box enters
+    only through that residual.
+    """
+    a = np.vstack([h.T, np.ones(len(c))])
+    b = np.zeros(a.shape[0])
+    b[-1] = 1.0
+    try:
+        lam, _ = nnls(a, b)
+    except RuntimeError:        # iteration cap: no certificate, LPs decide
+        return -math.inf
+    # The row of ones in a makes lam = 0 suboptimal, so the sum is positive.
+    lam /= lam.sum()
+    return float(lam @ c - np.abs(lam @ h).sum() * radius)
+
+
 def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
     """Kelley refinement of min ||M(x)|| over the slice x = x0 + basis z.
 
-    Every visited point contributes the cut Re(u* M(x) v) <= s through its
-    top singular pair, which underestimates the spectral norm everywhere.
+    Every visited point contributes the cuts Re(u* M(x) v) <= s of its top
+    singular pairs, which underestimate the spectral norm everywhere.  If
+    the cuts at the starting point already close the gap
+    (`_one_point_bound`), no LP runs.  Otherwise each LP minimizes the cut
+    model and its solution adds cuts, until the gap closes, an LP returns
+    its previous point again (its cuts are in the model, so no later LP
+    can move), the cut cap is reached or an LP fails.
     The LP runs over the box |z| <= radius, whose size is a heuristic, so
     its value bounds the minimum from below only when the minimizer lies
     inside the box.  The returned gap, best value minus that bound, is in
@@ -188,36 +244,49 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
     cost = np.zeros(dim + 1)
     cost[-1] = 1.0
     rows, rhs = [], []
-    lower = 0.0
 
     def add_cuts(point) -> float:
         """Add the cuts of point's top singular pairs; return its value."""
-        u, s, vh = np.linalg.svd(_embedded(k_mats, point))
-        for a in range(len(s)):
-            if s[a] < s[0] - 1e-8 * max(s[0], 1.0):
-                break
-            w = _singular_pair_grad(k_mats, u[:, a], np.conj(vh[a]))
+        f, grads = _top_cuts(k_mats, point)
+        for w in grads:
             row = np.empty(dim + 1)
             row[:dim] = w @ basis
             row[-1] = -1.0
             rows.append(row)
             rhs.append(-float(w @ x0))
-        return float(s[0])
+        return f
+
+    def closed() -> bool:
+        return best_f - lower <= KELLEY_REL_GAP * max(best_f, 1e-12)
 
     add_cuts(best_x)
-    for _ in range(KELLEY_MAX_CUTS):
+    lower = max(0.0, _one_point_bound(np.asarray(rows)[:, :dim],
+                                      -np.asarray(rhs), radius))
+    lp_calls, previous, reason = 0, None, "certified at start"
+    while not closed():
+        if lp_calls == KELLEY_MAX_CUTS:
+            reason = "cut cap"
+            break
         res = linprog(cost, A_ub=np.asarray(rows), b_ub=np.asarray(rhs),
-                      bounds=bounds, method="highs")
+                      bounds=bounds, method="highs", options=KELLEY_LP_OPTIONS)
+        lp_calls += 1
         if not res.success:
+            reason = "lp failed"
             break
         lower = max(lower, float(res.x[-1]))
+        if previous is not None and np.array_equal(res.x, previous):
+            reason = "stalled"
+            break
+        previous = res.x
         x = x0 + basis @ res.x[:dim]
         f = add_cuts(x)
         if f < best_f:
             best_f, best_x = f, x
-        if best_f - lower <= KELLEY_REL_GAP * max(best_f, 1e-12):
-            break
-    return best_x, best_f, max(best_f - lower, 0.0)
+        reason = "converged"
+    gap = max(best_f - lower, 0.0)
+    _log.debug("kelley %s after %d LP calls, relative gap %.3g",
+               reason, lp_calls, gap / max(best_f, 1e-12))
+    return best_x, best_f, gap
 
 
 def _reduce_grad(k_mats, x0, basis, z, mu):

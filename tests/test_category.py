@@ -63,6 +63,8 @@ def test_restriction_morphism_requires_component_union():
     t = graph_triple(g)
     with pytest.raises(NotOntoComponents):
         category.restriction_morphism(t, [0])  # half of the first interval
+    with pytest.raises(NotOntoComponents):
+        category.restriction_morphism(t, [])
 
 
 def test_restriction_morphism_full_checks():

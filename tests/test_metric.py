@@ -1,7 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 import finspec as fs
@@ -306,3 +308,161 @@ def test_kelley_takes_one_svd_per_point(monkeypatch):
     assert sum(points) >= 2
     assert len(svds) == 1 + sum(points)
     assert f <= best_f and gap >= 0.0
+
+
+def _reference_cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
+    """Kelley refinement at scipy's default LP options, with neither the
+    stall stop nor the one-point certificate: the reference the solver's
+    loop must not fall behind."""
+    dim = basis.shape[1]
+    z = np.linalg.lstsq(basis, best_x - x0, rcond=None)[0]
+    radius = 10.0 * (np.max(np.abs(z)) + np.max(np.abs(x0)) + 1.0)
+    bounds = [(-radius, radius)] * dim + [(0.0, None)]
+    cost = np.zeros(dim + 1)
+    cost[-1] = 1.0
+    rows, rhs = [], []
+    lower = 0.0
+
+    def add_cuts(point) -> float:
+        u, s, vh = np.linalg.svd(metric._embedded(k_mats, point))
+        for a in range(len(s)):
+            if s[a] < s[0] - 1e-8 * max(s[0], 1.0):
+                break
+            w = metric._singular_pair_grad(k_mats, u[:, a], np.conj(vh[a]))
+            row = np.empty(dim + 1)
+            row[:dim] = w @ basis
+            row[-1] = -1.0
+            rows.append(row)
+            rhs.append(-float(w @ x0))
+        return float(s[0])
+
+    add_cuts(best_x)
+    for _ in range(metric.KELLEY_MAX_CUTS):
+        res = linprog(cost, A_ub=np.asarray(rows), b_ub=np.asarray(rhs),
+                      bounds=bounds, method="highs")
+        if not res.success:
+            break
+        lower = max(lower, float(res.x[-1]))
+        x = x0 + basis @ res.x[:dim]
+        f = add_cuts(x)
+        if f < best_f:
+            best_f, best_x = f, x
+        if best_f - lower <= metric.KELLEY_REL_GAP * max(best_f, 1e-12):
+            break
+    return best_x, best_f, max(best_f - lower, 0.0)
+
+
+def _cyclic_triples():
+    """The three fixed 4-vertex graphs with two extra edges, on which the
+    spectral distance lies below the geodesic."""
+    rng = np.random.default_rng([2008, 4, 2])
+    return [pytest.param(graph_triple(random_connected_geometry(rng, 4, 2)),
+                         id=f"cyclic_4_2.{n}") for n in range(3)]
+
+
+def _conjugated(t):
+    return fs.conjugate_triple(
+        t, haar_unitary(np.random.default_rng(5), t.rep_dim))
+
+
+def _counting_linprog(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "linprog", counting)
+    return calls
+
+
+def _refine_inputs(monkeypatch, t, i, j):
+    """The arguments the solver hands to Kelley for the pair (i, j): the
+    slice and the polished starting point."""
+    seen = []
+    refine = metric._cutting_plane_refine
+
+    def capturing(*args):
+        seen.append(args)
+        return refine(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(metric, "_cutting_plane_refine", capturing)
+        fs.connes_distance(t, t.algebra.pure_state(i), t.algebra.pure_state(j))
+    return seen[0]
+
+
+def test_circle_is_certified_without_lp(monkeypatch):
+    """At the polished point of every circle_8 pair the cuts of that point
+    alone close the gap, so no LP runs."""
+    t = fs.lattice_circle(8, 1.0)[1]
+    calls = _counting_linprog(monkeypatch)
+    fs.distance_matrix(t)
+    for i in range(t.algebra.k):
+        for j in range(i + 1, t.algebra.k):
+            d = fs.connes_distance(t, t.algebra.pure_state(i),
+                                   t.algebra.pure_state(j))
+            assert d.solver_residual * d.value <= 1e-10
+    assert not calls
+
+
+@pytest.mark.parametrize("t", _cyclic_triples())
+def test_kelley_closes_the_gap_on_cyclic_graphs(monkeypatch, t):
+    """Every pair closes its gap to 2e-10 relative within 40 LPs, and its
+    best value is no worse than the reference loop's, which runs to the
+    200-cut cap on some of these pairs."""
+    for i in range(t.algebra.k):
+        for j in range(i + 1, t.algebra.k):
+            args = _refine_inputs(monkeypatch, t, i, j)
+            with monkeypatch.context() as mp:
+                calls = _counting_linprog(mp)
+                _, f, gap = metric._cutting_plane_refine(*args)
+            assert len(calls) <= 40, (i, j)
+            assert gap / f <= 2e-10, (i, j)
+            _, ref_f, _ = _reference_cutting_plane_refine(*args)
+            assert f <= ref_f * (1.0 + 1e-12), (i, j)
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(fs.lattice_circle(8, 1.0)[1], id="circle_8"),
+    pytest.param(_conjugated(fs.lattice_interval(4, 2.0)[1]),
+                 id="interval_4_conjugated"),
+] + _cyclic_triples())
+def test_one_point_bound_never_exceeds_the_norm(monkeypatch, t):
+    """The bound from the cuts of one point, at the polished point and at a
+    random one, lies below ||M(x)|| at random points of the box."""
+    k_mats = metric._commutator_generators(t)
+    rng = np.random.default_rng(17)
+    _, x0, basis, best_x, _ = _refine_inputs(monkeypatch, t, 0, 2)
+    best_z = basis.T @ (best_x - x0)
+    radius = 2.0 * np.max(np.abs(best_z)) + 1.0
+    near = best_z + 1e-3 * rng.normal(size=(100, len(best_z)))
+    samples = np.vstack([rng.uniform(-radius, radius, size=(200, len(best_z))),
+                         np.clip(near, -radius, radius), best_z])
+    for point in (best_x, x0 + basis @ rng.uniform(-radius, radius, len(best_z))):
+        _, grads = metric._top_cuts(k_mats, point)
+        bound = metric._one_point_bound(grads @ basis, grads @ x0, radius)
+        for z in samples:
+            f = metric._spectral_norm(k_mats, x0 + basis @ z)
+            assert bound <= f * (1.0 + 1e-12)
+
+
+def test_refinement_logs_its_stop(caplog):
+    """One DEBUG record per refinement names why it stopped, with the LP
+    calls and the relative gap as lazy arguments."""
+    circle = fs.lattice_circle(8, 1.0)[1]
+    cyclic = _cyclic_triples()[0].values[0]
+    with caplog.at_level(logging.DEBUG, logger="finspec.metric"):
+        fs.connes_distance(circle, circle.algebra.pure_state(0),
+                           circle.algebra.pure_state(3))
+        fs.connes_distance(cyclic, cyclic.algebra.pure_state(1),
+                           cyclic.algebra.pure_state(3))
+    records = [r for r in caplog.records if r.name == "finspec.metric"]
+    assert len(records) == 2
+    assert all(r.levelno == logging.DEBUG and r.args for r in records)
+    reasons = [r.args[0] for r in records]
+    assert reasons[0] == "certified at start" and records[0].args[1] == 0
+    assert reasons[1] in ("converged", "stalled")
+    assert records[1].args[1] >= 1
+    assert all(r.args[2] <= 2e-10 for r in records)
+    assert "LP calls" in records[1].getMessage()
