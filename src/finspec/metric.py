@@ -9,6 +9,19 @@ a convex problem over real-valued functions x.  The minimizer doubles as the
 certificate: x / ||[D, pi(x)]|| attains the sup.  Infinite distances are
 detected combinatorially from the character-coupling graph before any
 optimization runs.
+
+Two paths solve it, chosen from the operator data.  When each row and each
+column of D, read in the character basis, has at most one nonzero entry
+between different characters (SpectralTriple.difference_edges), [D, pi(x)]
+is a scaled partial permutation with entries d_ra (x_owner[a] - x_owner[r]),
+so its norm is exactly max_e w_e |x_u - x_v| and one LP over free x, with
+no search box, gives the minimum (_difference_lp).  Graph triples in which
+every vertex is the second endpoint of at most one edge (paths, circles,
+trees) have this form, and their distance is the geodesic one.  The form
+depends on edge orientation: on the path a - b - c with lengths l,
+d(a, c) = 2 l for a -> b -> c but sqrt(2) l for a -> b <- c.  Every other
+triple takes the dense path (_minimize_slice): a smoothing polish, then
+Kelley cutting planes.
 """
 
 from __future__ import annotations
@@ -234,10 +247,14 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
     can move), the cut cap is reached or an LP fails.
     The LP runs over the box |z| <= radius, whose size is a heuristic, so
     its value bounds the minimum from below only when the minimizer lies
-    inside the box.  The returned gap, best value minus that bound, is in
-    norm units (1/d) and carries the same condition.
+    inside the box.  The cuts enter divided by the starting value, and the
+    LP's t is multiplied by it again, so that HiGHS's absolute tolerances
+    act as relative ones whatever the scale of D.  The returned gap, best
+    value minus the bound, is in norm units (1/d) and carries the box's
+    condition.
     """
     dim = basis.shape[1]
+    scale = max(best_f, 1e-12)
     z = np.linalg.lstsq(basis, best_x - x0, rcond=None)[0]
     radius = 10.0 * (np.max(np.abs(z)) + np.max(np.abs(x0)) + 1.0)
     bounds = [(-radius, radius)] * dim + [(0.0, None)]
@@ -248,7 +265,7 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
     def add_cuts(point) -> float:
         """Add the cuts of point's top singular pairs; return its value."""
         f, grads = _top_cuts(k_mats, point)
-        for w in grads:
+        for w in grads / scale:
             row = np.empty(dim + 1)
             row[:dim] = w @ basis
             row[-1] = -1.0
@@ -260,8 +277,8 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
         return best_f - lower <= KELLEY_REL_GAP * max(best_f, 1e-12)
 
     add_cuts(best_x)
-    lower = max(0.0, _one_point_bound(np.asarray(rows)[:, :dim],
-                                      -np.asarray(rhs), radius))
+    lower = max(0.0, scale * _one_point_bound(np.asarray(rows)[:, :dim],
+                                              -np.asarray(rhs), radius))
     lp_calls, previous, reason = 0, None, "certified at start"
     while not closed():
         if lp_calls == KELLEY_MAX_CUTS:
@@ -273,7 +290,7 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
         if not res.success:
             reason = "lp failed"
             break
-        lower = max(lower, float(res.x[-1]))
+        lower = max(lower, scale * float(res.x[-1]))
         if previous is not None and np.array_equal(res.x, previous):
             reason = "stalled"
             break
@@ -289,6 +306,57 @@ def _cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
     return best_x, best_f, gap
 
 
+def _edge_norm(edges, x: np.ndarray) -> float:
+    """max_e w_e |x_u - x_v|, which is ||[D, pi(x)]|| for real x when the
+    edges come from SpectralTriple.difference_edges."""
+    u, v, w = edges
+    return float(np.max(w * np.abs(x[u] - x[v])))
+
+
+def _difference_lp(edges, c: np.ndarray, masks: np.ndarray):
+    """min ||[D, pi(x)]|| over the slice {c.x = 1} as one LP, when the
+    commutator is the weighted difference operator of `edges`.
+
+    minimize t over (x, t), t >= 0, subject to +-w_e (x_u - x_v) <= t,
+    c.x = 1 and a zero sum on every coupling component (a constant shift
+    per component changes neither side).  The weights enter divided by the
+    largest, so that HiGHS's absolute tolerances act as relative ones, and
+    x is free: there is no search box.  Returns (x, f, gap) in the form of
+    _minimize_slice, with x rescaled to c.x = 1, f from the edge formula at
+    the LP point (the LP's t is not used) and gap = f - the LP optimum, in
+    norm units; or None when the LP fails.
+    """
+    u, v, w = edges
+    k, n_e = len(c), len(w)
+    scale = float(w.max())
+    diff = np.zeros((n_e, k + 1))
+    diff[np.arange(n_e), u] = w / scale
+    diff[np.arange(n_e), v] = -w / scale
+    a_ub = np.vstack([diff, -diff])
+    a_ub[:, -1] = -1.0
+    a_eq = np.zeros((1 + len(masks), k + 1))
+    a_eq[0, :k] = c
+    a_eq[1:, :k] = masks
+    b_eq = np.zeros(len(a_eq))
+    b_eq[0] = 1.0
+    cost = np.zeros(k + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq,
+                  b_eq=b_eq, bounds=[(None, None)] * k + [(0.0, None)],
+                  method="highs", options=KELLEY_LP_OPTIONS)
+    if not res.success:
+        _log.debug("difference LP %s after %d LP calls, relative gap %.3g",
+                   "lp failed", 1, math.inf)
+        return None
+    x = res.x[:k]
+    gain = abs(float(c @ x))
+    f = _edge_norm(edges, x) / gain
+    gap = max(f - float(res.fun) * scale, 0.0)
+    _log.debug("difference LP %s after %d LP calls, relative gap %.3g",
+               "solved", 1, gap / max(f, 1e-12))
+    return x / gain, f, gap
+
+
 def _reduce_grad(k_mats, x0, basis, z, mu):
     val, grad = _smoothed_value_grad(k_mats, x0 + basis @ z, mu)
     return val, basis.T @ grad
@@ -298,10 +366,11 @@ def connes_distance(t: SpectralTriple, w1: State, w2: State,
                     seed: int = 0) -> DistanceValue:
     """Spectral distance between two states, with optimality certificate.
 
-    The solver is deterministic: `seed` is accepted for compatibility with
-    earlier versions and does not change the answer.  A triple whose Dirac
-    operator is not Hermitian is rejected (NotHermitian) before anything
-    else is computed.
+    A triple with difference edges is answered by one LP, any other by the
+    dense solver (see the module docstring).  Both are deterministic:
+    `seed` is accepted for compatibility with earlier versions and does not
+    change the answer.  A triple whose Dirac operator is not Hermitian is
+    rejected (NotHermitian) before anything else is computed.
     """
     _check_states(t, w1, w2)
     k_mats = _commutator_generators(t)
@@ -315,7 +384,9 @@ def connes_distance(t: SpectralTriple, w1: State, w2: State,
         # constant per component has vanishing commutator and unbounded gap.
         return DistanceValue(math.inf, None, 0.0)
 
-    x, f, gap = _minimize_slice(k_mats, c, masks)
+    edges = t.difference_edges
+    solved = _difference_lp(edges, c, masks) if edges is not None else None
+    x, f, gap = solved or _minimize_slice(k_mats, c, masks)
     if f <= ATOL:
         return DistanceValue(math.inf, None, 0.0)
     cert = AlgebraElement(t.algebra, (x / f).astype(complex))

@@ -120,6 +120,11 @@ class SpectralTriple:
         """coupling_components, as tuples."""
         return tuple(tuple(comp) for comp in coupling_components(self))
 
+    @cached_property
+    def difference_edges(self):
+        """difference_edges: (u, v, w) read-only arrays, or None."""
+        return difference_edges(self)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -556,6 +561,33 @@ def coupling_components(t: SpectralTriple):
         # to ~1e-16, above ALGEBRAIC_TOL**2.
         coupled |= onehot.T @ (np.abs(m) ** 2) @ onehot > (ALGEBRAIC_TOL * scale) ** 2
     return numerics.connected_parts(np.triu(coupled, 1))
+
+
+def difference_edges(t: SpectralTriple):
+    """The edges (u, v, w) along which ||[D, pi(x)]|| = max_e w_e |x_u - x_v|
+    for every real x, or None when the commutator has no such form.
+
+    In the character basis V, d = V* D V and pi(x) = diag(x_owner), so
+    [D, pi(x)] has the entries d_ra (x_owner[a] - x_owner[r]); only the
+    entries with owner[r] != owner[a] can be nonzero.  When each row and
+    each column of d keeps at most one such entry that is not exactly zero
+    (an exact test, so no tolerance enters), the commutator is a scaled
+    partial permutation and its norm is the largest |entry|: one edge
+    (owner[r], owner[a], |d_ra|) per kept entry.  A graph triple has this
+    form when every vertex is the second endpoint of at most one edge
+    (paths, circles, trees).  None also when no entry is kept, since then
+    every commutator vanishes.
+    """
+    v, owner = t.algebra.character_basis
+    d = v.conj().T @ t.dirac @ v
+    keep = (d != 0) & (owner[:, None] != owner[None, :])
+    if not keep.any() or keep.sum(axis=0).max() > 1 or keep.sum(axis=1).max() > 1:
+        return None
+    rows, cols = np.nonzero(keep)
+    edges = (owner[rows], owner[cols], np.abs(d[rows, cols]))
+    for a in edges:
+        a.setflags(write=False)
+    return edges
 
 
 def _component_isometry(t: SpectralTriple, chars) -> np.ndarray:

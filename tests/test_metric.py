@@ -10,9 +10,10 @@ import finspec as fs
 from finspec import metric, triple
 from finspec.algebra import State
 from finspec.errors import AlgebraMismatch, NotHermitian, TooManyCharacters
-from finspec.geometry import graph_triple, random_connected_geometry
+from finspec.geometry import (DiscreteGeometry, graph_triple,
+                              random_connected_geometry)
 
-from conftest import haar_unitary
+from conftest import builtin_gallery, haar_unitary, random_graph_triple
 
 
 def two_point(length=1.0):
@@ -261,18 +262,21 @@ def test_matrix_entries_equal_pairwise_distances(t):
 
 
 def test_per_triple_setup_runs_once(monkeypatch):
-    calls = []
-    original = triple.coupling_components
+    calls = {"coupling_components": [], "difference_edges": []}
+    for name, seen in calls.items():
+        original = getattr(triple, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counting(*args, _original=original, _seen=seen, **kwargs):
+            _seen.append(1)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(triple, "coupling_components", counting)
+        monkeypatch.setattr(triple, name, counting)
     t = fs.lattice_circle(6, 1.0)[1]
     fs.distance_matrix(t)
-    assert len(calls) <= 1
+    assert len(calls["coupling_components"]) <= 1
+    assert len(calls["difference_edges"]) == 1
     assert metric._commutator_generators(t) is metric._commutator_generators(t)
+    assert t.difference_edges is t.difference_edges
 
 
 def test_kelley_takes_one_svd_per_point(monkeypatch):
@@ -352,12 +356,16 @@ def _reference_cutting_plane_refine(k_mats, x0, basis, best_x, best_f):
     return best_x, best_f, max(best_f - lower, 0.0)
 
 
-def _cyclic_triples():
+def _cyclic_geometries():
     """The three fixed 4-vertex graphs with two extra edges, on which the
     spectral distance lies below the geodesic."""
     rng = np.random.default_rng([2008, 4, 2])
-    return [pytest.param(graph_triple(random_connected_geometry(rng, 4, 2)),
-                         id=f"cyclic_4_2.{n}") for n in range(3)]
+    return [random_connected_geometry(rng, 4, 2) for _ in range(3)]
+
+
+def _cyclic_triples():
+    return [pytest.param(graph_triple(g), id=f"cyclic_4_2.{n}")
+            for n, g in enumerate(_cyclic_geometries())]
 
 
 def _conjugated(t):
@@ -376,9 +384,18 @@ def _counting_linprog(monkeypatch):
     return calls
 
 
+def _dense_distance(t, w1, w2):
+    """The distance from the dense solver (polish, then Kelley), also for a
+    triple that connes_distance answers with one difference LP."""
+    c = np.asarray(w1.weights) - np.asarray(w2.weights)
+    _, f, gap = metric._minimize_slice(metric._commutator_generators(t), c,
+                                       metric._component_masks(t))
+    return metric.DistanceValue(1.0 / f, None, gap)
+
+
 def _refine_inputs(monkeypatch, t, i, j):
-    """The arguments the solver hands to Kelley for the pair (i, j): the
-    slice and the polished starting point."""
+    """The arguments the dense solver hands to Kelley for the pair (i, j):
+    the slice and the polished starting point."""
     seen = []
     refine = metric._cutting_plane_refine
 
@@ -388,7 +405,7 @@ def _refine_inputs(monkeypatch, t, i, j):
 
     with monkeypatch.context() as mp:
         mp.setattr(metric, "_cutting_plane_refine", capturing)
-        fs.connes_distance(t, t.algebra.pure_state(i), t.algebra.pure_state(j))
+        _dense_distance(t, t.algebra.pure_state(i), t.algebra.pure_state(j))
     return seen[0]
 
 
@@ -397,11 +414,10 @@ def test_circle_is_certified_without_lp(monkeypatch):
     alone close the gap, so no LP runs."""
     t = fs.lattice_circle(8, 1.0)[1]
     calls = _counting_linprog(monkeypatch)
-    fs.distance_matrix(t)
     for i in range(t.algebra.k):
         for j in range(i + 1, t.algebra.k):
-            d = fs.connes_distance(t, t.algebra.pure_state(i),
-                                   t.algebra.pure_state(j))
+            d = _dense_distance(t, t.algebra.pure_state(i),
+                                t.algebra.pure_state(j))
             assert d.solver_residual * d.value <= 1e-10
     assert not calls
 
@@ -453,8 +469,8 @@ def test_refinement_logs_its_stop(caplog):
     circle = fs.lattice_circle(8, 1.0)[1]
     cyclic = _cyclic_triples()[0].values[0]
     with caplog.at_level(logging.DEBUG, logger="finspec.metric"):
-        fs.connes_distance(circle, circle.algebra.pure_state(0),
-                           circle.algebra.pure_state(3))
+        _dense_distance(circle, circle.algebra.pure_state(0),
+                        circle.algebra.pure_state(3))
         fs.connes_distance(cyclic, cyclic.algebra.pure_state(1),
                            cyclic.algebra.pure_state(3))
     records = [r for r in caplog.records if r.name == "finspec.metric"]
@@ -466,3 +482,153 @@ def test_refinement_logs_its_stop(caplog):
     assert records[1].args[1] >= 1
     assert all(r.args[2] <= 2e-10 for r in records)
     assert "LP calls" in records[1].getMessage()
+
+
+# --- the difference LP: one exact LP when [D, pi(x)] is a weighted
+# difference operator ------------------------------------------------------
+
+def _in_degree(g):
+    """Largest number of edges that share a vertex as their second endpoint."""
+    return int(np.bincount([j for _, j, _ in g.edges], minlength=g.k).max())
+
+
+def _criterion_3_graphs():
+    """The 50 random graph triples of acceptance criterion 3, in its order."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for _ in range(50):
+        k = int(rng.integers(2, 7))
+        out.append(random_graph_triple(rng, k, extra_edges=int(rng.integers(0, 3))))
+    return out
+
+
+def _difference_triples():
+    """Every builtin-gallery triple and every criterion-3 graph in which no
+    vertex is the second endpoint of two edges."""
+    return [pytest.param(t, id=name) for name, _, t in builtin_gallery()] + [
+        pytest.param(t, id=f"criterion_3.{n}")
+        for n, (g, t) in enumerate(_criterion_3_graphs()) if _in_degree(g) <= 1]
+
+
+def test_difference_edges_found_exactly_at_in_degree_one():
+    for g, t in _criterion_3_graphs():
+        assert (t.difference_edges is not None) == (_in_degree(g) <= 1)
+
+
+@pytest.mark.parametrize("t", _cyclic_triples() + [
+    pytest.param(fs.standard_ko_triple(n), id=f"ko_{n}") for n in range(8)
+] + [pytest.param(_conjugated(fs.lattice_circle(8, 1.0)[1]),
+                  id="circle_8_conjugated")])
+def test_difference_edges_absent_where_the_form_fails(t):
+    """In-degree 2, no coupling at all, and a basis in which every entry of
+    D is dense: the dense path answers."""
+    assert t.difference_edges is None
+
+
+@pytest.mark.parametrize("t", _difference_triples())
+def test_difference_lp_matches_the_dense_solver(t):
+    """On 10 random mixed-state pairs the difference LP agrees with the
+    dense solver to 1e-9, its certificate attains the value with norm 1,
+    and the edge formula is the spectral norm at random points."""
+    rng = np.random.default_rng(31)
+    k_mats = metric._commutator_generators(t)
+    masks = metric._component_masks(t)
+    k = t.algebra.k
+    for _ in range(10):
+        a, b = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        d = fs.connes_distance(t, State(t.algebra, a), State(t.algebra, b))
+        _, f, _ = metric._minimize_slice(k_mats, a - b, masks)
+        assert d.value * f == pytest.approx(1.0, rel=1e-9, abs=0.0)
+        x = np.real(d.certificate.values)
+        assert metric._spectral_norm(k_mats, x) == pytest.approx(1.0, rel=1e-12)
+        assert abs((a - b) @ x) == pytest.approx(d.value, rel=1e-12)
+        assert d.solver_residual * d.value <= 1e-9
+        y = rng.normal(size=k)
+        assert metric._edge_norm(t.difference_edges, y) == pytest.approx(
+            metric._spectral_norm(k_mats, y), rel=1e-12)
+
+
+def test_difference_lp_is_one_lp_per_pair(monkeypatch):
+    """A circle matrix takes one LP per pair, with no polish and no Kelley."""
+    t = fs.lattice_circle(8, 1.0)[1]
+    calls = _counting_linprog(monkeypatch)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the dense solver ran")
+
+    monkeypatch.setattr(metric, "_minimize_slice", unused)
+    values = fs.distance_matrix(t).values
+    assert len(calls) == 8 * 7 // 2
+    assert np.all(np.isfinite(values))
+
+
+def test_difference_lp_logs_one_record(caplog):
+    """One DEBUG record per pair, in the shape of Kelley's: the method in
+    the message, then the status, the LP calls and the relative gap as lazy
+    arguments."""
+    t = fs.lattice_circle(8, 1.0)[1]
+    with caplog.at_level(logging.DEBUG, logger="finspec.metric"):
+        fs.connes_distance(t, t.algebra.pure_state(0), t.algebra.pure_state(3))
+    records = [r for r in caplog.records if r.name == "finspec.metric"]
+    assert len(records) == 1
+    record = records[0]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage().startswith("difference LP solved after 1 LP calls")
+    assert record.args[:2] == ("solved", 1) and record.args[2] <= 1e-10
+
+
+def _scaled(g, lam):
+    return DiscreteGeometry(g.labels,
+                            tuple((i, j, lam * l) for i, j, l in g.edges))
+
+
+@pytest.mark.parametrize("g, dense", [
+    pytest.param(fs.lattice_circle(8, 1.0)[0], False, id="circle_8"),
+    pytest.param(random_connected_geometry(np.random.default_rng(2008), 6, 0),
+                 False, id="tree_6"),
+] + [pytest.param(g, True, id=f"cyclic_4_2.{n}")
+     for n, g in enumerate(_cyclic_geometries())])
+def test_scale_covariance_from_1e_6_to_1e6(g, dense):
+    """d(lam * lengths) = lam * d to 1e-9 relative, on both paths."""
+    base = fs.distance_matrix(graph_triple(g)).values
+    off = ~np.eye(g.k, dtype=bool)
+    for lam in (1e-6, 1.0, 1e6):
+        t = graph_triple(_scaled(g, lam))
+        assert (t.difference_edges is None) == dense
+        values = fs.distance_matrix(t).values
+        assert np.max(np.abs(values[off] / (lam * base[off]) - 1.0)) <= 1e-9, lam
+
+
+def test_edge_orientation_changes_the_distance():
+    """Each edge direction rides with its first endpoint, so the distance
+    depends on orientation: on the path a - b - c with both lengths l,
+    d(a, c) = 2 l when the edges run a -> b -> c (difference LP), but
+    sqrt(2) l when they run a -> b <- c (b is the second endpoint of both;
+    dense path)."""
+    length = 2.0
+    for edges, expected in ((((0, 1, length), (1, 2, length)), 2.0 * length),
+                            (((0, 1, length), (2, 1, length)),
+                             math.sqrt(2.0) * length)):
+        t = graph_triple(DiscreteGeometry(("a", "b", "c"), edges))
+        d = fs.connes_distance(t, t.algebra.pure_state(0), t.algebra.pure_state(2))
+        assert d.value == pytest.approx(expected, rel=1e-9)
+
+
+def test_difference_lp_on_a_disjoint_sum():
+    """Mixed states that put equal weight on each component of a disjoint
+    sum are at a finite distance, which the difference LP finds as the
+    dense solver does."""
+    t = fs.direct_sum(fs.lattice_interval(3, 2.0)[1], fs.lattice_interval(4, 1.0)[1])
+    assert t.difference_edges is not None and len(t.components) == 2
+    rng = np.random.default_rng(5)
+    k_mats = metric._commutator_generators(t)
+    masks = metric._component_masks(t)
+    for _ in range(10):
+        share = rng.dirichlet(np.ones(2))
+        a, b = np.zeros((2, t.algebra.k))
+        for p, comp in zip(share, t.components):
+            a[list(comp)] = p * rng.dirichlet(np.ones(len(comp)))
+            b[list(comp)] = p * rng.dirichlet(np.ones(len(comp)))
+        d = fs.connes_distance(t, State(t.algebra, a), State(t.algebra, b))
+        _, f, _ = metric._minimize_slice(k_mats, a - b, masks)
+        assert d.value * f == pytest.approx(1.0, rel=1e-9, abs=0.0)
