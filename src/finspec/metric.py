@@ -52,6 +52,9 @@ KELLEY_LP_OPTIONS = {"presolve": False,
                      "primal_feasibility_tolerance": 1e-10,
                      "dual_feasibility_tolerance": 1e-10}
 GRID_CHUNK = 65536        # grid points the oracle screens per batch
+GRID_BLOCK = 4096         # a chunk's candidates go in blocks of 4096 to 8191
+GRID_SLACK = 1e-9         # the oracle accepts ||M(x)|| <= 1 + GRID_SLACK
+GRID_MARGIN = 1e-15       # a candidate must beat the incumbent by this
 
 _log = logging.getLogger(__name__)
 
@@ -405,6 +408,43 @@ def distance_matrix(t: SpectralTriple, seed: int = 0) -> DistanceMatrix:
     return DistanceMatrix(t.algebra.labels, values)
 
 
+def _check_grid(box: float, grid: int, complex_phases: int = 0):
+    if grid < 2:
+        raise ValueError(f"grid must have at least 2 points, got {grid}")
+    if not (math.isfinite(box) and box > 0):
+        raise ValueError(f"box must be finite and positive, got {box}")
+    if complex_phases < 0:
+        raise ValueError(f"complex_phases must be >= 0, got {complex_phases}")
+
+
+def _grid_axis(box: float, grid: int, complex_phases: int) -> np.ndarray:
+    """The values the oracle gives each coordinate: np.linspace(-box, box,
+    grid), or with p = complex_phases > 0 the sorted distinct values a w^m,
+    w = exp(2 pi i / p), for a on that grid made exactly antisymmetric.
+
+    linspace is not antisymmetric (-3.6 != -(3.6) at box 4, grid 21), and
+    exp leaves residues of about 1e-16 where cos or sin is 0; either way
+    -a w^m and a w^(m + p/2) would be two numbers a rounding error apart,
+    and both would be scanned.  So the positive half is mirrored, and for
+    even p the roots are built as a half, snapped, and its negative.  The
+    real grid has no near-copies and is left as linspace builds it, which
+    keeps every bit of the real answers.
+    """
+    axis = np.linspace(-box, box, grid)
+    if complex_phases == 0:
+        return axis
+    upper = axis[grid - grid // 2:]
+    real = np.concatenate([-upper[::-1], [0.0] * (grid % 2), upper])
+    even = complex_phases % 2 == 0
+    m = np.arange(complex_phases // 2 if even else complex_phases)
+    roots = np.exp(2j * np.pi * m / complex_phases)
+    roots = (np.where(np.abs(roots.real) < 1e-15, 0.0, roots.real)
+             + 1j * np.where(np.abs(roots.imag) < 1e-15, 0.0, roots.imag))
+    if even:
+        roots = np.concatenate([roots, -roots])
+    return np.unique(np.outer(real, roots))
+
+
 def brute_force_distance(t: SpectralTriple, w1: State, w2: State,
                          box: float, grid: int,
                          complex_phases: int = 0) -> float:
@@ -414,10 +454,22 @@ def brute_force_distance(t: SpectralTriple, w1: State, w2: State,
     with the feasible set ||[D, pi(x)]|| <= 1.  Always a lower bound on the
     true sup; converges as the grid refines.
 
-    With complex_phases = p > 0, each coordinate additionally ranges over the
-    p-th roots of unity times the real grid values (tiny instances only),
-    cross-checking the restriction to real-valued functions.
+    With complex_phases = p > 0, each coordinate instead ranges over the
+    distinct values a w^m, for a on the real grid and w = exp(2 pi i / p),
+    each value once (tiny instances only), cross-checking the restriction
+    to real-valued functions.
+
+    Points are taken chunk by chunk in descending order of |c . x|.  Two
+    screens only reject points: an objective no better than the incumbent,
+    and a row or column of [D, pi(x)] with norm above 1 + GRID_SLACK (the
+    spectral norm bounds both from above), formed from the entries where
+    some [D, P_i] is nonzero.  Only the SVD test ||[D, pi(x)]|| <=
+    1 + GRID_SLACK accepts a point.  The oracle reads the commutator tensor
+    alone, never the difference edges or a closed form of the norm, so it
+    stays independent of the solvers it checks.  Raises ValueError for
+    grid < 2, a box that is not finite and positive, or complex_phases < 0.
     """
+    _check_grid(box, grid, complex_phases)
     _check_states(t, w1, w2)
     k = t.algebra.k
     if k > 4:
@@ -426,11 +478,8 @@ def brute_force_distance(t: SpectralTriple, w1: State, w2: State,
     if np.max(np.abs(c)) <= EQUAL_STATES_TOL:
         return 0.0
 
-    k_mats = _commutator_generators(t)
-    axis = np.linspace(-box, box, grid)
-    if complex_phases > 0:
-        phases = np.exp(2j * np.pi * np.arange(complex_phases) / complex_phases)
-        axis = np.unique(np.concatenate([axis[None, :] * ph for ph in phases]))
+    screen = _Screen(_commutator_generators(t))
+    axis = _grid_axis(box, grid, complex_phases)
 
     best = 0.0
 
@@ -438,12 +487,46 @@ def brute_force_distance(t: SpectralTriple, w1: State, w2: State,
     # sweep can skip points whose objective cannot improve on it.
     stride = max(1, len(axis) // 24)
     coarse = axis[::stride]
-    best = max(best, _grid_scan(k_mats, c, coarse, k, best))
-    best = max(best, _grid_scan(k_mats, c, axis, k, best))
+    best = max(best, _grid_scan(screen, c, coarse, k, best))
+    best = max(best, _grid_scan(screen, c, axis, k, best))
     return best
 
 
-def _grid_scan(k_mats, c, axis, k, best):
+class _Screen:
+    """The oracle's two tests of ||M(x)|| <= 1 + GRID_SLACK on a batch of
+    grid points, one per row of coords: a cheap screen that only rejects,
+    and the SVD, which alone accepts."""
+
+    def __init__(self, k_mats: np.ndarray):
+        k, n, _ = k_mats.shape
+        flat = k_mats.reshape(k, -1)
+        support = np.flatnonzero(np.any(flat != 0, axis=0))
+        rows, cols = np.divmod(support, n)
+        # 0/1 incidence of the rows and columns of M on its nonzero entries.
+        lines = np.zeros((2 * n, len(support)))
+        lines[rows, np.arange(len(support))] = 1.0
+        lines[n + cols, np.arange(len(support))] = 1.0
+        self.k_mats = k_mats
+        self.support_t = flat[:, support].T
+        self.lines = lines
+
+    def passes(self, coords: np.ndarray) -> np.ndarray:
+        """False where some row or column of M(x) has norm above
+        1 + GRID_SLACK, which the spectral norm bounds from above.  Only
+        the entries where some K_i is nonzero are formed, one column per
+        point, so that the maximum runs over the leading axis."""
+        entries = self.support_t @ coords.T
+        squares = entries.real ** 2 + entries.imag ** 2
+        return np.max(self.lines @ squares, axis=0) <= (1.0 + GRID_SLACK) ** 2
+
+    def feasible(self, coords: np.ndarray) -> np.ndarray:
+        """True where the largest singular value of M(x) is at most
+        1 + GRID_SLACK."""
+        mats = np.tensordot(coords, self.k_mats, axes=1)
+        return np.linalg.svd(mats, compute_uv=False)[:, 0] <= 1.0 + GRID_SLACK
+
+
+def _grid_scan(screen: _Screen, c, axis, k, best):
     n_axis = len(axis)
     total = n_axis ** k
     for start in range(0, total, GRID_CHUNK):
@@ -451,24 +534,22 @@ def _grid_scan(k_mats, c, axis, k, best):
         coords = np.empty((len(idx), k), dtype=axis.dtype)
         rem = idx
         for d in range(k - 1, -1, -1):
-            coords[:, d] = axis[rem % n_axis]
-            rem = rem // n_axis
+            rem, digit = np.divmod(rem, n_axis)
+            coords[:, d] = axis[digit]
         obj = np.abs(coords @ c)
-        cand = np.nonzero(obj > best + 1e-15)[0]
+        cand = np.nonzero(obj > best + GRID_MARGIN)[0]
         if cand.size == 0:
             continue
         order = cand[np.argsort(-obj[cand])]
-        for block in np.array_split(order, max(1, len(order) // 4096)):
-            mats = np.tensordot(coords[block], k_mats, axes=1)
-            # Row norms lower-bound the spectral norm: a cheap screen.
-            row = np.sqrt(np.max(np.sum(np.abs(mats) ** 2, axis=2), axis=1))
-            col = np.sqrt(np.max(np.sum(np.abs(mats) ** 2, axis=1), axis=1))
-            ok = (row <= 1.0 + 1e-9) & (col <= 1.0 + 1e-9)
-            if not np.any(ok):
+        for block in np.array_split(order, max(1, len(order) // GRID_BLOCK)):
+            # Blocks run in descending objective: once the incumbent reaches
+            # a block's top, no later block of the chunk can beat it.
+            if obj[block[0]] <= best:
+                break
+            sel = block[screen.passes(coords[block])]
+            if not sel.size:
                 continue
-            sel = block[ok]
-            smax = np.linalg.svd(mats[ok], compute_uv=False)[:, 0]
-            feas = sel[smax <= 1.0 + 1e-9]
+            feas = sel[screen.feasible(coords[sel])]
             if feas.size:
                 best = max(best, float(np.max(obj[feas])))
     return best
@@ -476,7 +557,9 @@ def _grid_scan(k_mats, c, axis, k, best):
 
 def grid_resolution_bound(t: SpectralTriple, box: float, grid: int) -> float:
     """Crude accuracy bound for brute_force_distance: Lipschitz constant of
-    the objective times the grid diagonal."""
+    the objective times the grid diagonal.  Raises ValueError for grid < 2
+    or a box that is not finite and positive."""
+    _check_grid(box, grid)
     k = t.algebra.k
     spacing = 2.0 * box / (grid - 1)
     return spacing * k

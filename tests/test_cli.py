@@ -1,8 +1,12 @@
+import copy
 import gc
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finspec as fs
 from finspec import category, cli
@@ -391,3 +395,84 @@ def test_loading_runs_no_collection_and_restores_the_collector(tmp_path):
     finally:
         gc.callbacks.remove(count)
     assert collections == []
+
+
+# --- fuzzing the triple decoder through the CLI -----------------------------
+
+_FUZZ_BASES = [triple_to_json(t) for t in (fs.two_point_geometry(0.5)[1],
+                                           fs.lattice_interval(3, 1.0)[1],
+                                           fs.lattice_circle(3, 1.0)[1])]
+
+
+def _at(doc, path):
+    return reduce(lambda node, key: node[key], path, doc)
+
+
+def _matrix_paths(doc):
+    paths = [("dirac",)]
+    paths += [(name,) for name in ("grading", "real_unitary_part")
+              if doc.get(name) is not None]
+    paths += [("algebra", "projections", i)
+              for i in range(len(doc["algebra"]["projections"]))]
+    return paths
+
+
+def _drop_key(doc, data):
+    required = [("algebra",), ("dirac",), ("algebra", "projections")]
+    required += [m + (key,) for m in _matrix_paths(doc)
+                 for key in ("dim", "entries")]
+    *parent, key = data.draw(st.sampled_from(required))
+    del _at(doc, parent)[key]
+
+
+def _short_row(doc, data):
+    rows = _at(doc, data.draw(st.sampled_from(_matrix_paths(doc))))["entries"]
+    rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+
+
+def _non_finite(doc, data):
+    rows = _at(doc, data.draw(st.sampled_from(_matrix_paths(doc))))["entries"]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[i]) - 1))
+    rows[i][j][data.draw(st.integers(0, 1))] = data.draw(
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+
+
+def _non_square(doc, data):
+    m = _at(doc, data.draw(st.sampled_from(_matrix_paths(doc))))
+    n = m.pop("dim")
+    if data.draw(st.booleans()):
+        for row in m["entries"]:
+            row.append([0.0, 0.0])
+        m.update(rows=n, cols=n + 1)
+    else:
+        for row in m["entries"]:
+            row.pop()
+        m.update(rows=n, cols=n - 1)
+
+
+def _projection_count(doc, data):
+    projections = doc["algebra"]["projections"]
+    i = data.draw(st.integers(0, len(projections) - 1))
+    if data.draw(st.booleans()):
+        del projections[i]
+    else:
+        projections.append(copy.deepcopy(projections[i]))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(_FUZZ_BASES),
+       corrupt=st.sampled_from([_drop_key, _short_row, _non_finite,
+                                _non_square, _projection_count]),
+       data=st.data())
+def test_corrupted_triple_is_usage_error(tmp_path, capsys, base, corrupt,
+                                         data):
+    """A valid triple document with one corruption is malformed input:
+    validate and distance exit 2 and raise nothing."""
+    doc = copy.deepcopy(base)
+    corrupt(doc, data)
+    path = write_json(tmp_path / "fuzz.json", doc)
+    for argv in (["validate", path], ["distance", path, "--states", "1", "2"]):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv

@@ -632,3 +632,186 @@ def test_difference_lp_on_a_disjoint_sum():
         d = fs.connes_distance(t, State(t.algebra, a), State(t.algebra, b))
         _, f, _ = metric._minimize_slice(k_mats, a - b, masks)
         assert d.value * f == pytest.approx(1.0, rel=1e-9, abs=0.0)
+
+
+# --- the grid oracle: screens on the commutator's support, one scan of
+# each distinct grid value, early stop at the incumbent ----------------------
+
+def _reference_axis(box, grid, complex_phases):
+    """The oracle's grid axis before the complex values were made distinct:
+    the reference the scan must agree with."""
+    axis = np.linspace(-box, box, grid)
+    if complex_phases > 0:
+        phases = np.exp(2j * np.pi * np.arange(complex_phases) / complex_phases)
+        axis = np.unique(np.concatenate([axis[None, :] * ph for ph in phases]))
+    return axis
+
+
+def _reference_grid_scan(k_mats, c, axis, k, best):
+    """The oracle's scan with full matrices, row and column screens on them
+    and no early stop: the reference the screened scan must agree with."""
+    n_axis = len(axis)
+    total = n_axis ** k
+    for start in range(0, total, metric.GRID_CHUNK):
+        idx = np.arange(start, min(start + metric.GRID_CHUNK, total))
+        coords = np.empty((len(idx), k), dtype=axis.dtype)
+        rem = idx
+        for d in range(k - 1, -1, -1):
+            coords[:, d] = axis[rem % n_axis]
+            rem = rem // n_axis
+        obj = np.abs(coords @ c)
+        cand = np.nonzero(obj > best + 1e-15)[0]
+        if cand.size == 0:
+            continue
+        order = cand[np.argsort(-obj[cand])]
+        for block in np.array_split(order, max(1, len(order) // 4096)):
+            mats = np.tensordot(coords[block], k_mats, axes=1)
+            row = np.sqrt(np.max(np.sum(np.abs(mats) ** 2, axis=2), axis=1))
+            col = np.sqrt(np.max(np.sum(np.abs(mats) ** 2, axis=1), axis=1))
+            ok = (row <= 1.0 + 1e-9) & (col <= 1.0 + 1e-9)
+            if not np.any(ok):
+                continue
+            sel = block[ok]
+            smax = np.linalg.svd(mats[ok], compute_uv=False)[:, 0]
+            feas = sel[smax <= 1.0 + 1e-9]
+            if feas.size:
+                best = max(best, float(np.max(obj[feas])))
+    return best
+
+
+def _reference_brute_force(t, w1, w2, box, grid, complex_phases=0):
+    c = np.asarray(w1.weights) - np.asarray(w2.weights)
+    k_mats = t.commutators
+    axis = _reference_axis(box, grid, complex_phases)
+    k = t.algebra.k
+    stride = max(1, len(axis) // 24)
+    best = _reference_grid_scan(k_mats, c, axis[::stride], k, 0.0)
+    return max(best, _reference_grid_scan(k_mats, c, axis, k, best))
+
+
+def _oracle_triples():
+    tree = random_connected_geometry(np.random.default_rng(3), 3, 0)
+    cyclic = random_connected_geometry(np.random.default_rng(4), 4, 2)
+    interval = fs.lattice_interval(3, 2.0)[1]
+    return [
+        pytest.param(two_point(1.0), id="two_point"),
+        pytest.param(fs.lattice_interval(2, 1.0)[1], id="interval_2"),
+        pytest.param(interval, id="interval_3"),
+        pytest.param(fs.lattice_circle(3, 1.0)[1], id="circle_3"),
+        pytest.param(fs.lattice_circle(4, 1.0)[1], id="circle_4"),
+        pytest.param(graph_triple(tree), id="tree_3"),
+        pytest.param(graph_triple(cyclic), id="cyclic_4"),
+        pytest.param(_conjugated(interval), id="conjugated_interval_3"),
+    ]
+
+
+def _oracle_pairs(t, seed):
+    """Every pair of pure states, then three seeded pairs of mixed states."""
+    a = t.algebra
+    pairs = [(a.pure_state(i), a.pure_state(j))
+             for i in range(a.k) for j in range(i + 1, a.k)]
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        pairs.append(tuple(State(a, tuple(rng.dirichlet(np.ones(a.k))))
+                           for _ in range(2)))
+    return pairs
+
+
+@pytest.mark.parametrize("t", _oracle_triples())
+def test_oracle_matches_the_reference_scan(t):
+    """Real grids give bitwise the reference's answer.  Complex grids hold
+    each value a w^m once where the reference kept near-copies a rounding
+    error apart, so there the answers agree to 1e-12 relative.  Spacings
+    of 0.2, 1 and 0.5 divide the edge lengths of the regular triples, so
+    that their best grid points lie on the boundary ||[D, pi(x)]|| = 1,
+    where a screen that rejected a feasible point would show.  On the
+    61-point grid the full sweep improves on its strided pre-pass (by 0.003
+    to 0.27), where a scan that stopped too early would show."""
+    small = t.algebra.k <= 3
+    real_grids = ((4.0, 41), (4.0, 61)) if small else ((4.0, 9), (2.0, 9))
+    for n, (w1, w2) in enumerate(_oracle_pairs(t, 9)):
+        for box, grid in real_grids:
+            got = fs.brute_force_distance(t, w1, w2, box=box, grid=grid)
+            want = _reference_brute_force(t, w1, w2, box, grid)
+            assert got == want, (n, box, got, want)
+        if small:
+            got = fs.brute_force_distance(t, w1, w2, box=4.0, grid=9,
+                                          complex_phases=4)
+            want = _reference_brute_force(t, w1, w2, 4.0, 9, 4)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), n
+
+
+def test_scan_stops_at_the_incumbent():
+    """Blocks run in descending objective, so once a block holds a feasible
+    point, no later block of the chunk can beat it and none is screened."""
+    t = fs.lattice_interval(3, 2.0)[1]
+    c = np.array([1.0, 0.0, -1.0])
+    axis = metric._grid_axis(4.0, 31, 0)      # 29 791 points: one chunk
+    screen = metric._Screen(t.commutators)
+    passes, feasible = screen.passes, screen.feasible
+    events = []
+
+    def recording_passes(coords):
+        events.append("screen")
+        return passes(coords)
+
+    def recording_feasible(coords):
+        ok = feasible(coords)
+        events.append("feasible" if ok.any() else "infeasible")
+        return ok
+
+    screen.passes, screen.feasible = recording_passes, recording_feasible
+    best = metric._grid_scan(screen, c, axis, 3, 0.0)
+    assert best == _reference_grid_scan(t.commutators, c, axis, 3, 0.0)
+    assert events.count("screen") >= 3
+    assert events.index("feasible") == len(events) - 1
+
+
+def test_oracle_with_vanishing_commutators():
+    """With D = 0 every grid point is feasible and no entry of [D, pi(x)] is
+    ever nonzero: the screen has nothing to read and rejects nothing."""
+    t = two_point(1.0)
+    flat = triple.SpectralTriple(t.algebra, np.zeros_like(t.dirac), t.grading,
+                                 t.real_structure, t.parity)
+    w1, w2 = flat.algebra.pure_state(0), flat.algebra.pure_state(1)
+    for phases in (0, 4):
+        got = fs.brute_force_distance(flat, w1, w2, box=4.0, grid=21,
+                                      complex_phases=phases)
+        assert got == _reference_brute_force(flat, w1, w2, 4.0, 21, phases)
+        assert got == pytest.approx(8.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("grid", [5, 21])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_complex_axis_holds_each_value_once(grid, p):
+    box = 4.0
+    axis = metric._grid_axis(box, grid, p)
+    gaps = np.abs(axis[:, None] - axis[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > 1e-12 * box
+    half = grid // 2
+    assert len(axis) == (1 + p * half if p % 2 == 0 else 1 + 2 * p * half)
+    # The real values the complex axis holds are exactly symmetric.
+    real = np.sort(axis[axis.imag == 0].real)
+    assert len(real) == grid
+    assert np.array_equal(real, -real[::-1])
+    # The real grid is linspace's own, so real answers keep every bit.
+    assert np.array_equal(metric._grid_axis(box, grid, 0),
+                          np.linspace(-box, box, grid))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grid": 0}, {"grid": 1}, {"box": -4.0}, {"box": 0.0},
+    {"box": math.inf}, {"box": math.nan}, {"complex_phases": -2},
+])
+def test_oracle_rejects_invalid_arguments(kwargs):
+    t = two_point(1.0)
+    w1, w2 = t.algebra.pure_state(0), t.algebra.pure_state(1)
+    args = {"box": 4.0, "grid": 21, **kwargs}
+    with pytest.raises(ValueError):
+        fs.brute_force_distance(t, w1, w2, **args)
+    with pytest.raises(ValueError):   # equal states are no way around it
+        fs.brute_force_distance(t, w1, w1, **args)
+    if "complex_phases" not in kwargs:
+        with pytest.raises(ValueError):
+            metric.grid_resolution_bound(t, args["box"], args["grid"])
