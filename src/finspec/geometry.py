@@ -33,8 +33,9 @@ class DiscreteGeometry:
         edges = tuple((int(i), int(j), float(l)) for i, j, l in self.edges)
         k = len(labels)
         for i, j, l in edges:
-            if l <= 0:
-                raise NonpositiveLength(f"edge ({i},{j}) has length {l}")
+            if not 0 < l < math.inf:     # NaN fails too
+                raise NonpositiveLength(
+                    f"edge ({i},{j}) has length {l}; lengths are finite and > 0")
             if not (0 <= i < k and 0 <= j < k) or i == j:
                 raise ValueError(f"bad edge ({i},{j}) for {k} vertices")
         object.__setattr__(self, "labels", labels)

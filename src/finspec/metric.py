@@ -14,14 +14,18 @@ Two paths solve it, chosen from the operator data.  When each row and each
 column of D, read in the character basis, has at most one nonzero entry
 between different characters (SpectralTriple.difference_edges), [D, pi(x)]
 is a scaled partial permutation with entries d_ra (x_owner[a] - x_owner[r]),
-so its norm is exactly max_e w_e |x_u - x_v| and one LP over free x, with
-no search box, gives the minimum (_difference_lp).  Graph triples in which
-every vertex is the second endpoint of at most one edge (paths, circles,
-trees) have this form, and their distance is the geodesic one.  The form
-depends on edge orientation: on the path a - b - c with lengths l,
-d(a, c) = 2 l for a -> b -> c but sqrt(2) l for a -> b <- c.  Every other
-triple takes the dense path (_minimize_slice): a smoothing polish, then
-Kelley cutting planes.
+so its norm is exactly max_e w_e |x_u - x_v|.  connes_distance then
+answers a pair of states, pure or mixed, with one LP over free x, with no
+search box (_difference_lp), and distance_matrix answers all pairs of pure
+states with one LP per source character (_source_distances): the
+shortest-path potential from the source, the greatest element of a system
+of difference constraints, attains every distance from it at once.  Graph
+triples in which every vertex is the second endpoint of at most one edge
+(paths, circles, trees) have this form, and their distance is the geodesic
+one.  The form depends on edge orientation: on the path a - b - c with
+lengths l, d(a, c) = 2 l for a -> b -> c but sqrt(2) l for a -> b <- c.
+Every other triple takes the dense path (_minimize_slice), one pair at a
+time: a smoothing polish, then Kelley cutting planes.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from scipy.optimize import linprog, minimize, nnls
 
 from .algebra import AlgebraElement, State, same_algebra
 from .errors import AlgebraMismatch, TooManyCharacters
-from .numerics import ATOL, EQUAL_STATES_TOL, INFINITE_THRESHOLD
+from .numerics import (ATOL, EQUAL_STATES_TOL, INFINITE_THRESHOLD,
+                       connected_parts)
 from .triple import SpectralTriple
 
 KELLEY_MAX_CUTS = 200     # LP points before Kelley stops
@@ -396,15 +401,93 @@ def connes_distance(t: SpectralTriple, w1: State, w2: State,
     return DistanceValue(1.0 / f, cert, gap)
 
 
+def _difference_parts(t: SpectralTriple) -> list:
+    """The sets of two or more characters that difference edges join inside
+    one coupling component, as sorted lists.  An edge between two coupling
+    components is below the coupling tolerance and is left out, as the
+    components leave it out."""
+    u, v, _ = t.difference_edges
+    label = np.empty(t.algebra.k, dtype=int)
+    for n, comp in enumerate(t.components):
+        label[list(comp)] = n
+    inside = label[u] == label[v]
+    adjacency = np.zeros((t.algebra.k, t.algebra.k))
+    adjacency[u[inside], v[inside]] = 1.0
+    return [p for p in connected_parts(adjacency) if len(p) > 1]
+
+
+def _source_distances(edges, part: list) -> list:
+    """Distances between the characters of `part` from one LP per source,
+    when the commutator is the weighted difference operator of `edges` and
+    the edges join `part`.
+
+    For the source s = part[m], maximize the sum of y over part subject to
+    y_s = 0 and +-(w_e / w_max)(y_u - y_v) <= 1 on every edge inside part.
+    These are difference constraints, so the feasible set has a greatest
+    element, the shortest-path potential from s, which maximizes every y_i
+    at once; x = y / (w_max L), with L the edge norm at the LP point, is a
+    1-Lipschitz certificate that attains d(s, i) = |y_i| / (w_max L) for
+    every i.  The weights enter divided by the largest, so that HiGHS's
+    absolute tolerances act as relative ones.  Each LP logs one DEBUG
+    record; its relative gap is L - 1, by how much the LP point breaks the
+    constraints.  Returns, for m = 0 .. len(part) - 2, the distances from
+    part[m] to part[m + 1:], or None where the LP failed.
+    """
+    u, v, w = edges
+    inside = np.isin(u, part) & np.isin(v, part)
+    a, b = np.searchsorted(part, u[inside]), np.searchsorted(part, v[inside])
+    w_max = float(w[inside].max())
+    ws = w[inside] / w_max
+    n_e, size = len(ws), len(part)
+    diff = np.zeros((n_e, size))
+    diff[np.arange(n_e), a] = ws
+    diff[np.arange(n_e), b] = -ws
+    a_ub = np.vstack([diff, -diff])
+    rows = []
+    for m in range(size - 1):
+        bounds = [(None, None)] * size
+        bounds[m] = (0.0, 0.0)
+        res = linprog(-np.ones(size), A_ub=a_ub, b_ub=np.ones(2 * n_e),
+                      bounds=bounds, method="highs", options=KELLEY_LP_OPTIONS)
+        if not res.success:
+            _log.debug("difference LP %s after %d LP calls, relative gap %.3g,"
+                       " source %d", "lp failed", 1, math.inf, part[m])
+            rows.append(None)
+            continue
+        y = res.x
+        lip = float(np.max(ws * np.abs(y[a] - y[b])))
+        _log.debug("difference LP %s after %d LP calls, relative gap %.3g,"
+                   " source %d", "solved", 1, max(lip - 1.0, 0.0), part[m])
+        rows.append(np.abs(y[m + 1:]) / (w_max * lip))
+    return rows
+
+
 def distance_matrix(t: SpectralTriple, seed: int = 0) -> DistanceMatrix:
-    """Pairwise spectral distances between all pure states.  `seed` is
-    accepted for compatibility and does not change the answer."""
+    """Spectral distances between all pure states.  A triple with
+    difference edges takes one LP per source character (_source_distances)
+    and +inf between characters that no edge path inside a coupling
+    component joins; if a source's LP fails, its pairs go through
+    connes_distance.  Any other triple takes connes_distance per pair.
+    `seed` is accepted for compatibility and does not change the answer."""
     k = t.algebra.k
-    values = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = connes_distance(t, t.algebra.pure_state(i), t.algebra.pure_state(j))
-            values[i, j] = values[j, i] = d.value
+    _commutator_generators(t)       # rejects a non-Hermitian D first
+    pure = t.algebra.pure_state
+    edges = t.difference_edges
+    if edges is None:
+        values = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                values[i, j] = values[j, i] = connes_distance(
+                    t, pure(i), pure(j)).value
+        return DistanceMatrix(t.algebra.labels, values)
+    values = np.full((k, k), math.inf)
+    np.fill_diagonal(values, 0.0)
+    for part in _difference_parts(t):
+        for m, row in enumerate(_source_distances(edges, part)):
+            i, later = part[m], part[m + 1:]
+            if row is None:
+                row = [connes_distance(t, pure(i), pure(j)).value for j in later]
+            values[i, later] = values[later, i] = row
     return DistanceMatrix(t.algebra.labels, values)
 
 
@@ -484,12 +567,12 @@ def brute_force_distance(t: SpectralTriple, w1: State, w2: State,
     best = 0.0
 
     # Coarse pre-pass (a strided subgrid) seeds the incumbent so that the full
-    # sweep can skip points whose objective cannot improve on it.
-    stride = max(1, len(axis) // 24)
-    coarse = axis[::stride]
-    best = max(best, _grid_scan(screen, c, coarse, k, best))
-    best = max(best, _grid_scan(screen, c, axis, k, best))
-    return best
+    # sweep can skip points whose objective cannot improve on it.  Below 48
+    # values the stride is 1 and the subgrid would be the whole grid.
+    stride = len(axis) // 24
+    if stride > 1:
+        best = _grid_scan(screen, c, axis[::stride], k, best)
+    return _grid_scan(screen, c, axis, k, best)
 
 
 class _Screen:

@@ -476,3 +476,148 @@ def test_corrupted_triple_is_usage_error(tmp_path, capsys, base, corrupt,
     for argv in (["validate", path], ["distance", path, "--states", "1", "2"]):
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
+
+
+# --- fuzzing the morphism and geometry decoders through the CLI -------------
+
+def _morphism_bases():
+    """(source triple, target triple, morphism) documents that `finspec
+    morphism` decodes: an sf identity with a square phi, a restriction with
+    a rectangular phi, and a metric identity with no phi."""
+    ko = triple_to_json(standard_ko_triple(0))
+    sf_identity = {"kind": "sf", "character_map": [1],
+                   "phi_matrix": matrix_to_json(np.eye(2)),
+                   "flags": {"real": True, "even": True, "isometric": True}}
+    t = graph_triple(disjoint_union(fs.lattice_circle(3, 1.0)[0],
+                                    fs.lattice_interval(2, 1.0)[0]))
+    sub, restriction = category.restriction_morphism(t, [0, 1, 2])
+    circle = triple_to_json(fs.lattice_circle(3, 1.0)[1])
+    metric_identity = {"kind": "metric", "character_map": [1, 2, 3],
+                       "phi_matrix": None}
+    return [(ko, ko, sf_identity),
+            (triple_to_json(t), triple_to_json(sub),
+             category.morphism_to_json(restriction)),
+            (circle, circle, metric_identity)]
+
+
+_MORPHISM_BASES = _morphism_bases()
+
+_GEOMETRY_BASES = [geometry_to_json(g) for g in (
+    fs.two_point_geometry(0.5)[0], fs.lattice_interval(3, 1.0)[0],
+    fs.lattice_circle(4, 2.0)[0],
+    disjoint_union(fs.lattice_circle(3, 1.0)[0], fs.lattice_interval(2, 1.0)[0]))]
+
+
+def _drop_morphism_key(doc, data):
+    required = [("character_map",)]
+    phi = doc["phi_matrix"]
+    if phi is not None:
+        required += [("phi_matrix",)] + [("phi_matrix", key) for key in phi]
+    *parent, key = data.draw(st.sampled_from(required))
+    del _at(doc, parent)[key]
+
+
+def _short_phi_row(doc, data):
+    rows = doc["phi_matrix"]["entries"]
+    rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+
+
+def _non_finite_phi(doc, data):
+    rows = doc["phi_matrix"]["entries"]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[i]) - 1))
+    rows[i][j][data.draw(st.integers(0, 1))] = data.draw(
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+
+
+def _phi_shape(doc, data):
+    """One column more or one fewer, with a header that says so."""
+    m = doc["phi_matrix"]
+    rows = m.pop("dim", None) or m.pop("rows")
+    m.pop("cols", None)
+    grow = data.draw(st.booleans())
+    for row in m["entries"]:
+        if grow:
+            row.append([0.0, 0.0])
+        else:
+            row.pop()
+    m.update(rows=rows, cols=len(m["entries"][0]))
+
+
+def _character_count(doc, data):
+    cm = doc["character_map"]
+    if data.draw(st.booleans()):
+        del cm[data.draw(st.integers(0, len(cm) - 1))]
+    else:
+        cm.append(cm[0])
+
+
+def _character_range(doc, data):
+    cm = doc["character_map"]
+    cm[data.draw(st.integers(0, len(cm) - 1))] = data.draw(
+        st.sampled_from([0, -1, 99]))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(_MORPHISM_BASES), data=st.data())
+def test_corrupted_morphism_is_usage_error(tmp_path, capsys, base, data):
+    """A valid morphism document with one corruption is malformed input:
+    morphism exits 2 and raises nothing."""
+    t1, t2, doc = copy.deepcopy(base)
+    corruptions = [_drop_morphism_key, _character_count, _character_range]
+    if doc["phi_matrix"] is not None:
+        corruptions += [_short_phi_row, _non_finite_phi, _phi_shape]
+    data.draw(st.sampled_from(corruptions))(doc, data)
+    paths = [write_json(tmp_path / name, d)
+             for name, d in (("t1.json", t1), ("t2.json", t2), ("m.json", doc))]
+    code, out, _ = run(capsys, "morphism", *paths)
+    assert (code, out) == (2, "")
+
+
+def _drop_geometry_key(doc, data):
+    del doc[data.draw(st.sampled_from(["vertices", "edges"]))]
+
+
+def _short_edge(doc, data):
+    edges = doc["edges"]
+    edges[data.draw(st.integers(0, len(edges) - 1))].pop()
+
+
+def _bad_length(doc, data):
+    edges = doc["edges"]
+    edges[data.draw(st.integers(0, len(edges) - 1))][2] = data.draw(
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -1.0]))
+
+
+def _bad_endpoint(doc, data):
+    edge = doc["edges"][data.draw(st.integers(0, len(doc["edges"]) - 1))]
+    end = data.draw(st.integers(0, 1))
+    edge[end] = data.draw(st.sampled_from(
+        [0, len(doc["vertices"]) + 1, edge[1 - end]]))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(_GEOMETRY_BASES),
+       corrupt=st.sampled_from([_drop_geometry_key, _short_edge, _bad_length,
+                                _bad_endpoint]),
+       data=st.data())
+def test_corrupted_geometry_is_usage_error(tmp_path, capsys, base, corrupt,
+                                           data):
+    """A valid geometry document with one corruption is malformed input:
+    compare exits 2 and raises nothing."""
+    doc = copy.deepcopy(base)
+    corrupt(doc, data)
+    code, out, _ = run(capsys, "compare", write_json(tmp_path / "g.json", doc))
+    assert (code, out) == (2, "")
+
+
+def test_fuzz_bases_are_valid(tmp_path, capsys):
+    """Uncorrupted, every base document decodes and is checked."""
+    for t1, t2, doc in _MORPHISM_BASES:
+        paths = [write_json(tmp_path / name, d) for name, d in
+                 (("t1.json", t1), ("t2.json", t2), ("m.json", doc))]
+        assert run(capsys, "morphism", *paths)[0] == 0
+    for doc in _GEOMETRY_BASES:
+        assert run(capsys, "compare", write_json(tmp_path / "g.json", doc))[0] == 0

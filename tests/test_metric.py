@@ -247,20 +247,6 @@ def test_subgradient_matches_finite_differences_complex(t):
     assert np.max(np.abs(grad - fd)) <= 1e-6 * max(f, 1.0)
 
 
-@pytest.mark.parametrize("t", _gradient_triples() + [
-    pytest.param(fs.direct_sum(fs.lattice_interval(3, 2.0)[1], two_point(0.5)),
-                 id="interval_3+two_point"),
-])
-def test_matrix_entries_equal_pairwise_distances(t):
-    seed = 3
-    values = fs.distance_matrix(t, seed=seed).values
-    for i in range(t.algebra.k):
-        for j in range(i + 1, t.algebra.k):
-            d = fs.connes_distance(t, t.algebra.pure_state(i),
-                                   t.algebra.pure_state(j), seed=seed)
-            assert values[i, j] == d.value
-
-
 def test_per_triple_setup_runs_once(monkeypatch):
     calls = {"coupling_components": [], "difference_edges": []}
     for name, seen in calls.items():
@@ -510,6 +496,47 @@ def _difference_triples():
         for n, (g, t) in enumerate(_criterion_3_graphs()) if _in_degree(g) <= 1]
 
 
+def _pairwise_matrix(t):
+    """The matrix of connes_distance answers, one call per pair."""
+    k = t.algebra.k
+    values = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            values[i, j] = values[j, i] = fs.connes_distance(
+                t, t.algebra.pure_state(i), t.algebra.pure_state(j)).value
+    return values
+
+
+def _sum_triples():
+    """Direct sums with two and three coupling components, at lengths far
+    apart, including a component of two characters."""
+    two = fs.direct_sum(fs.lattice_interval(3, 2.0)[1], two_point(0.5))
+    three = fs.direct_sum(fs.direct_sum(fs.lattice_circle(5, 1.3)[1],
+                                        fs.lattice_circle(3, 0.5)[1]),
+                          fs.lattice_circle(4, 1e3)[1])
+    return [pytest.param(two, id="interval_3+two_point"),
+            pytest.param(three, id="circle_5+circle_3+circle_4")]
+
+
+@pytest.mark.parametrize("t", _gradient_triples() + _sum_triples()
+                         + _difference_triples() + [
+    pytest.param(fs.lattice_circle(32, 1.0)[1], id="circle_32"),
+])
+def test_matrix_entries_equal_pairwise_distances(t):
+    """The matrix holds the connes_distance answer of every pair: the same
+    value on the dense path, which solves each pair alone, and the same to
+    1e-12 relative, with the same +inf pattern, where one LP per source
+    answers the pairs of a difference triple."""
+    values = fs.distance_matrix(t, seed=3).values
+    pairwise = _pairwise_matrix(t)
+    if t.difference_edges is None:
+        assert np.array_equal(values, pairwise)
+        return
+    assert np.array_equal(np.isinf(values), np.isinf(pairwise))
+    finite = np.isfinite(pairwise)
+    assert values[finite] == pytest.approx(pairwise[finite], rel=1e-12, abs=0.0)
+
+
 def test_difference_edges_found_exactly_at_in_degree_one():
     for g, t in _criterion_3_graphs():
         assert (t.difference_edges is not None) == (_in_degree(g) <= 1)
@@ -548,8 +575,9 @@ def test_difference_lp_matches_the_dense_solver(t):
             metric._spectral_norm(k_mats, y), rel=1e-12)
 
 
-def test_difference_lp_is_one_lp_per_pair(monkeypatch):
-    """A circle matrix takes one LP per pair, with no polish and no Kelley."""
+def test_difference_lp_is_one_lp_per_source(monkeypatch):
+    """A circle_8 matrix takes one LP per source but the last, 7 in all, and
+    one pair takes one LP; neither runs the polish or Kelley."""
     t = fs.lattice_circle(8, 1.0)[1]
     calls = _counting_linprog(monkeypatch)
 
@@ -558,8 +586,51 @@ def test_difference_lp_is_one_lp_per_pair(monkeypatch):
 
     monkeypatch.setattr(metric, "_minimize_slice", unused)
     values = fs.distance_matrix(t).values
-    assert len(calls) == 8 * 7 // 2
+    assert len(calls) == 7
     assert np.all(np.isfinite(values))
+    calls.clear()
+    fs.connes_distance(t, t.algebra.pure_state(0), t.algebra.pure_state(3))
+    assert len(calls) == 1
+
+
+def test_source_lps_log_one_record_each(caplog):
+    """Each source LP of a matrix logs one DEBUG record in the shape of the
+    pair LP's, with the source character as the last argument."""
+    t = fs.lattice_circle(8, 1.0)[1]
+    with caplog.at_level(logging.DEBUG, logger="finspec.metric"):
+        fs.distance_matrix(t)
+    records = [r for r in caplog.records if r.name == "finspec.metric"]
+    assert [r.args[3] for r in records] == list(range(7))
+    for record in records:
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(
+            "difference LP solved after 1 LP calls")
+        assert record.args[:2] == ("solved", 1) and record.args[2] <= 1e-10
+
+
+def test_failed_source_lp_falls_back_to_pairs(monkeypatch, caplog):
+    """When a source's LP fails, its pairs go through connes_distance, and
+    the matrix still holds the pairwise answers."""
+    t = fs.lattice_circle(6, 1.0)[1]
+    calls = []
+
+    def failing_first(*args, **kwargs):
+        calls.append(1)
+        res = linprog(*args, **kwargs)
+        if len(calls) == 1:
+            res.success = False
+        return res
+
+    monkeypatch.setattr(metric, "linprog", failing_first)
+    with caplog.at_level(logging.DEBUG, logger="finspec.metric"):
+        values = fs.distance_matrix(t).values
+    failed = [r for r in caplog.records
+              if r.name == "finspec.metric" and r.args[0] == "lp failed"]
+    assert [r.args[3] for r in failed] == [0]
+    # 5 source LPs, then one pair LP for each of source 0's five pairs.
+    assert len(calls) == 5 + 5
+    monkeypatch.undo()
+    assert values == pytest.approx(_pairwise_matrix(t), rel=1e-12, abs=0.0)
 
 
 def test_difference_lp_logs_one_record(caplog):
@@ -765,6 +836,35 @@ def test_scan_stops_at_the_incumbent():
     assert best == _reference_grid_scan(t.commutators, c, axis, 3, 0.0)
     assert events.count("screen") >= 3
     assert events.index("feasible") == len(events) - 1
+
+
+@pytest.mark.parametrize("grid, phases, scans", [
+    (21, 0, 1), (47, 0, 1), (21, 4, 1), (48, 0, 2), (61, 0, 2),
+])
+def test_coarse_pass_only_when_it_is_coarser(monkeypatch, grid, phases, scans):
+    """Below 48 axis values the strided pre-pass would be the whole grid,
+    so one scan runs; from 48 values the pre-pass runs first.  The CLI's
+    grids (21 real values, 41 complex) take one scan."""
+    t = fs.lattice_interval(3, 2.0)[1]
+    w1, w2 = t.algebra.pure_state(0), t.algebra.pure_state(2)
+    axis = metric._grid_axis(4.0, grid, phases)
+    assert (len(axis) < 48) == (scans == 1)
+    calls = []
+    scan = metric._grid_scan
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return scan(*args)
+
+    monkeypatch.setattr(metric, "_grid_scan", counting)
+    got = fs.brute_force_distance(t, w1, w2, box=4.0, grid=grid,
+                                  complex_phases=phases)
+    assert len(calls) == scans and calls[-1] == len(axis)
+    want = _reference_brute_force(t, w1, w2, 4.0, grid, phases)
+    if phases:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        assert got == want
 
 
 def test_oracle_with_vanishing_commutators():
